@@ -55,6 +55,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default="0.1:0.9:0.1",
         help="sigma_pc grid as start:stop:step (inclusive)",
     )
+    sweep.add_argument(
+        "--mode",
+        choices=("first", "best"),
+        default="first",
+        help="candidate selection of the run: first passing, or best overlap",
+    )
     return parser
 
 
@@ -90,7 +96,7 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     records = read_records_csv(args.records)
     gt = read_gt_csv(args.gt)
-    rows = pr_sweep(records, gt, grid=_parse_grid(args.grid))
+    rows = pr_sweep(records, gt, grid=_parse_grid(args.grid), mode=args.mode)
     write_pr_csv(args.out, rows)
     print(f"{len(rows)} thresholds written to {args.out}")
     return EXIT_OK

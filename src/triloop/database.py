@@ -1,9 +1,20 @@
 """Hash-indexed descriptor store with vote-based candidate retrieval.
 
 Signatures are quantized componentwise and the six cells mixed into one
-64-bit bucket key. The full cell 6-tuple is kept alongside every stored
-descriptor so bucket collisions between distinct cells never produce false
-matches. Inserting a frame is atomic with respect to concurrent queries.
+64-bit bucket key. Stored descriptors are held column-wise, one row per
+descriptor in insertion order: its six cells, the insertion index of its
+frame and its position in that frame's descriptor list. The bucket index is
+two more columns, bucket keys and the rows they point to, cut into
+consecutive segments that are each sorted by key. An insert appends the new
+frame as a segment and merges the newest two segments (one in-place sort of
+the tail) while the older is at most twice the size of the newer, so
+segments shrink geometrically, there are at most log2(rows) + 1 of them, and
+a row is re-sorted O(log rows) times over its life. A query binary-searches
+each segment for its bucket keys and gathers every matching row in one step,
+so its cost follows the number of matches, not the length of a bucket. The
+full cell 6-tuple is compared on every lookup, so bucket collisions between
+distinct cells never produce false matches. Inserting a frame is atomic with
+respect to concurrent queries.
 """
 
 from __future__ import annotations
@@ -12,6 +23,7 @@ import math
 import struct
 import threading
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +37,7 @@ TOP_K_CANDIDATES = 10
 # grid sizes in binary floats) up into the intended cell.
 _QUANT_EPS = 1e-9
 
+_HASH_SEED = 0xCBF29CE484222325
 _MIX_CONSTANTS = (
     0x9E3779B97F4A7C15,
     0xC2B2AE3D27D4EB4F,
@@ -49,7 +62,11 @@ def quantize(value: float, delta: float) -> int:
 
 
 def make_key(signature, delta_l: float, delta_n: float) -> HashKey:
-    """Quantize (l12, l23, l13, |n1.n2|, |n2.n3|, |n1.n3|) into a hash key."""
+    """Quantize (l12, l23, l13, |n1.n2|, |n2.n3|, |n1.n3|) into a hash key.
+
+    Scalar reference for one signature; the database computes the same keys
+    for a whole frame at once with ``frame_keys``.
+    """
     sig = np.asarray(signature, dtype=np.float64)
     cells = (
         quantize(sig[0], delta_l),
@@ -59,11 +76,48 @@ def make_key(signature, delta_l: float, delta_n: float) -> HashKey:
         quantize(sig[4], delta_n),
         quantize(sig[5], delta_n),
     )
-    h = 0xCBF29CE484222325
+    h = _HASH_SEED
     for cell, mult in zip(cells, _MIX_CONSTANTS):
         h ^= (cell & _MASK64) * mult & _MASK64
         h = ((h << 13) | (h >> 51)) & _MASK64
     return HashKey(cells=cells, bucket=h)
+
+
+def frame_signatures(sides: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """(M, 6) signatures from sides (M, 3) and vertex normals (M, 3, 3).
+
+    Equal bit for bit to ``TriangleDescriptor.signature`` row by row: the
+    stacked matmul forms each normal dot product the same way as the scalar
+    ``n1 @ n2`` (einsum and multiply-then-sum differ in the last ulp).
+    """
+    sides = np.asarray(sides, dtype=np.float64).reshape(-1, 3)
+    normals = np.asarray(normals, dtype=np.float64).reshape(-1, 3, 3)
+    left = normals[:, [0, 1, 0], None, :]    # n1, n2, n1 as (M, 3, 1, 3)
+    right = normals[:, [1, 2, 2], :, None]   # n2, n3, n3 as (M, 3, 3, 1)
+    dots = np.abs((left @ right)[:, :, 0, 0])
+    return np.hstack([sides, dots])
+
+
+def frame_keys(
+    signatures: np.ndarray, delta_l: float, delta_n: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cells (M, 6) int64 and bucket keys (M,) uint64 of M signatures.
+
+    Row for row equal to ``make_key``: the same floor arithmetic, and the
+    same mix in wrapping uint64 arithmetic.
+    """
+    sig = np.asarray(signatures, dtype=np.float64).reshape(-1, 6)
+    if not np.isfinite(sig).all():
+        raise ValueError("descriptor signatures must be finite")
+    deltas = np.array([delta_l] * 3 + [delta_n] * 3)
+    cells = np.floor(sig / deltas + _QUANT_EPS).astype(np.int64)
+    # int64 -> uint64 reinterpretation is the two's complement `cell & _MASK64`
+    words = cells.view(np.uint64)
+    h = np.full(len(cells), _HASH_SEED, dtype=np.uint64)
+    for j, mult in enumerate(_MIX_CONSTANTS):
+        h ^= words[:, j] * np.uint64(mult)
+        h = (h << np.uint64(13)) | (h >> np.uint64(51))
+    return cells, h
 
 
 @dataclass(frozen=True)
@@ -75,26 +129,80 @@ class Candidate:
     pairs: tuple[tuple[TriangleDescriptor, TriangleDescriptor], ...]
 
 
-@dataclass
-class _StoredDescriptor:
-    cells: tuple[int, int, int, int, int, int]
-    descriptor: TriangleDescriptor
+@dataclass(frozen=True)
+class _Votes:
+    """Vote kernel output. Voted frames ranked by (-votes, frame id), and one
+    match per vote, in query order."""
+
+    frames: np.ndarray        # insertion index of each ranked frame
+    frame_ids: np.ndarray
+    votes: np.ndarray
+    query_rows: np.ndarray    # per match: the query descriptor's index,
+    slots: np.ndarray         # its partner's index in the frame's list,
+    match_frames: np.ndarray  # and the frame's insertion index
 
 
 _SNAPSHOT_MAGIC = b"TRIDESC1"
 _SNAPSHOT_VERSION = 1
+_HEADER = struct.Struct("<IddQ")        # version, delta_l, delta_n, frame count
+_FRAME_HEADER = struct.Struct("<qQ")    # frame id, descriptor count
 _DESC_FLOATS = 24  # p1 p2 p3 (9) + n1 n2 n3 (9) + sides (3) + centroid (3)
+_DESC_BYTES = _DESC_FLOATS * 8
+
+
+def _stack_3x3(arrays: list[np.ndarray]) -> np.ndarray:
+    """(M, 3, 3) float64 stack of M (3, 3) arrays."""
+    return np.array(arrays, dtype=np.float64).reshape(-1, 3, 3)
+
+
+def _stack_frame(descriptors: list[TriangleDescriptor]) -> tuple[np.ndarray, np.ndarray]:
+    """Sides (M, 3) and normals (M, 3, 3) of a frame's descriptors."""
+    sides = np.fromiter(
+        chain.from_iterable([d.sides for d in descriptors]),
+        dtype=np.float64,
+        count=3 * len(descriptors),
+    ).reshape(-1, 3)
+    return sides, _stack_3x3([d.normals for d in descriptors])
+
+
+def _frame_record(descriptors: list[TriangleDescriptor]) -> np.ndarray:
+    """(M, 24) little-endian snapshot rows of one frame."""
+    vertices = _stack_3x3([d.vertices for d in descriptors])
+    sides, normals = _stack_frame(descriptors)
+    record = np.empty((len(descriptors), _DESC_FLOATS), dtype="<f8")
+    record[:, 0:9] = vertices.reshape(-1, 9)
+    record[:, 9:18] = normals.reshape(-1, 9)
+    record[:, 18:21] = sides
+    record[:, 21:24] = vertices.mean(axis=1)
+    return record
+
+
+def _record_descriptors(record: np.ndarray, frame_id: int) -> list[TriangleDescriptor]:
+    """Descriptors viewing the rows of a (M, 24) snapshot record."""
+    vertices = record[:, 0:9].reshape(-1, 3, 3)
+    normals = record[:, 9:18].reshape(-1, 3, 3)
+    return [
+        TriangleDescriptor(vertices=v, normals=n, sides=tuple(s), frame_id=frame_id)
+        for v, n, s in zip(vertices, normals, record[:, 18:21].tolist())
+    ]
 
 
 class DescriptorDatabase:
     """All historical descriptors, bucketed by quantized signature."""
 
     def __init__(self, delta_l: float = 0.2, delta_n: float = 0.1):
-        if delta_l <= 0 or delta_n <= 0:
-            raise ValueError("quantization resolutions must be > 0")
+        if not (0 < delta_l < math.inf and 0 < delta_n < math.inf):
+            raise ValueError("quantization resolutions must be finite and > 0")
         self.delta_l = delta_l
         self.delta_n = delta_n
-        self._buckets: dict[int, list[_StoredDescriptor]] = {}
+        # one row per stored descriptor; capacity grows geometrically
+        self._cells = np.empty((0, 6), dtype=np.int64)
+        self._row_frame = np.empty(0, dtype=np.int64)  # insertion index of the frame
+        self._row_slot = np.empty(0, dtype=np.int64)   # index in the frame's list
+        # the bucket index, a permutation of the rows; see the module docstring
+        self._index_keys = np.empty(0, dtype=np.uint64)
+        self._index_rows = np.empty(0, dtype=np.int64)
+        self._segment_starts: list[int] = []
         self._insertion_order: list[int] = []
         self._frame_descriptors: dict[int, list[TriangleDescriptor]] = {}
         self._descriptors_indexed = 0
@@ -111,48 +219,131 @@ class DescriptorDatabase:
     def key_for(self, descriptor: TriangleDescriptor) -> HashKey:
         return make_key(descriptor.signature(), self.delta_l, self.delta_n)
 
+    def _keys(self, sides: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return frame_keys(frame_signatures(sides, normals), self.delta_l, self.delta_n)
+
     def insert_frame(self, frame_id: int, descriptors: list[TriangleDescriptor]) -> None:
         """Insert one frame's descriptors atomically."""
+        descriptors = list(descriptors)
+        for d in descriptors:
+            if d.frame_id != frame_id:
+                raise ValueError(
+                    f"descriptor carries frame {d.frame_id}, inserting frame {frame_id}"
+                )
+        self._publish(frame_id, descriptors, *_stack_frame(descriptors))
+
+    def _publish(
+        self,
+        frame_id: int,
+        descriptors: list[TriangleDescriptor],
+        sides: np.ndarray,
+        normals: np.ndarray,
+    ) -> None:
+        """Index a validated frame and make it visible to queries in one step."""
         with self._lock:
             if frame_id in self._frame_descriptors:
                 raise DuplicateFrame(f"frame {frame_id} already inserted")
-            for d in descriptors:
-                if d.frame_id != frame_id:
-                    raise ValueError(
-                        f"descriptor carries frame {d.frame_id}, inserting frame {frame_id}"
-                    )
-            staged: dict[int, list[_StoredDescriptor]] = {}
-            for d in descriptors:
-                key = self.key_for(d)
-                staged.setdefault(key.bucket, []).append(_StoredDescriptor(key.cells, d))
-            for bucket, items in staged.items():
-                self._buckets.setdefault(bucket, []).extend(items)
-            self._frame_descriptors[frame_id] = list(descriptors)
+            cells, buckets = self._keys(sides, normals)
+            start = self._descriptors_indexed
+            stop = start + len(descriptors)
+            self._reserve(stop)
+            self._cells[start:stop] = cells
+            self._row_frame[start:stop] = len(self._insertion_order)
+            self._row_slot[start:stop] = np.arange(len(descriptors))
+            order = np.argsort(buckets, kind="stable")
+            self._index_keys[start:stop] = buckets[order]
+            self._index_rows[start:stop] = start + order
+            if descriptors:
+                self._segment_starts.append(start)
+                self._merge_segments(stop)
+            self._frame_descriptors[frame_id] = descriptors
             self._insertion_order.append(frame_id)
-            self._descriptors_indexed += len(descriptors)
+            self._descriptors_indexed = stop
 
-    def _excluded_frames(self, skip_recent: int) -> set[int]:
-        if skip_recent <= 0:
-            return set()
-        return set(self._insertion_order[-skip_recent:])
+    def _reserve(self, n_rows: int) -> None:
+        capacity = len(self._row_frame)
+        if n_rows <= capacity:
+            return
+        capacity = max(n_rows, 2 * capacity, 1024)
+        for name in ("_cells", "_row_frame", "_row_slot", "_index_keys", "_index_rows"):
+            old = getattr(self, name)
+            grown = np.empty((capacity,) + old.shape[1:], dtype=old.dtype)
+            grown[: len(old)] = old
+            setattr(self, name, grown)
+
+    def _merge_segments(self, stop: int) -> None:
+        """Merge the newest two segments while the older holds at most twice
+        the rows of the newer. A stable sort keeps each bucket's rows in row
+        order."""
+        starts = self._segment_starts
+        while len(starts) > 1 and starts[-1] - starts[-2] <= 2 * (stop - starts[-1]):
+            starts.pop()
+            tail = slice(starts[-1], stop)
+            order = np.argsort(self._index_keys[tail], kind="stable")
+            self._index_keys[tail] = self._index_keys[tail][order]
+            self._index_rows[tail] = self._index_rows[tail][order]
+
+    def _bucket_rows(self, buckets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every (query index, stored row) pair whose bucket keys are equal,
+        ordered by query index, then stored row."""
+        # sorted needles keep each segment's binary searches on shared paths
+        order = np.argsort(buckets)
+        needles = buckets[order]
+        none = np.empty(0, dtype=np.int64)
+        query, first, counts = [none], [none], [none]
+        bounds = self._segment_starts + [self._descriptors_indexed]
+        for start, stop in zip(bounds, bounds[1:]):
+            keys = self._index_keys[start:stop]
+            lo = keys.searchsorted(needles)
+            hit = np.flatnonzero(keys.take(lo, mode="clip") == needles)
+            if len(hit):
+                lo = lo[hit]
+                query.append(order[hit])
+                first.append(start + lo)
+                counts.append(keys.searchsorted(needles[hit], side="right") - lo)
+        # One run of equal keys per (query, segment). Segments hold ascending
+        # row ranges and a run lists its rows in order, so runs ordered by
+        # query, then segment, list each query's rows in order.
+        query = np.concatenate(query)
+        runs = np.argsort(query, kind="stable")
+        query = query[runs]
+        first = np.concatenate(first)[runs]
+        counts = np.concatenate(counts)[runs]
+        # positions first, first + 1, ... of each run
+        run_start = np.cumsum(counts) - counts
+        positions = np.arange(counts.sum()) + np.repeat(first - run_start, counts)
+        return np.repeat(query, counts), self._index_rows[positions]
+
+    def _vote(self, descriptors: list[TriangleDescriptor], skip_recent: int) -> _Votes:
+        """The vote kernel: one vote per (query descriptor, frame) cell match.
+
+        Matches come ordered by (query row, stored row), and a frame's rows
+        are consecutive, so the first match of each (query row, frame) is the
+        frame's earliest stored descriptor in the cell: its pair partner.
+        """
+        cells, buckets = self._keys(*_stack_frame(descriptors))
+        with self._lock:
+            query, stored = self._bucket_rows(buckets)
+            frames = self._row_frame[stored]
+            keep = (self._cells[stored] == cells[query]).all(axis=1)
+            if skip_recent > 0:
+                keep &= frames < self.frames_indexed - skip_recent
+            query, stored, frames = query[keep], stored[keep], frames[keep]
+            first = np.ones(len(query), dtype=bool)
+            first[1:] = (query[1:] != query[:-1]) | (frames[1:] != frames[:-1])
+            query, stored, frames = query[first], stored[first], frames[first]
+            slots = self._row_slot[stored]
+            voted, votes = np.unique(frames, return_counts=True)
+            ids = np.array([self._insertion_order[f] for f in voted.tolist()], dtype=np.int64)
+        rank = np.lexsort((ids, -votes))
+        return _Votes(voted[rank], ids[rank], votes[rank], query, slots, frames)
 
     def vote_counts(
         self, descriptors: list[TriangleDescriptor], skip_recent: int = 0
     ) -> dict[int, int]:
         """Votes per stored frame: one per (query descriptor, frame) cell match."""
-        with self._lock:
-            excluded = self._excluded_frames(skip_recent)
-            votes: dict[int, int] = {}
-            for q in descriptors:
-                key = self.key_for(q)
-                voted: set[int] = set()
-                for stored in self._buckets.get(key.bucket, ()):
-                    fid = stored.descriptor.frame_id
-                    if stored.cells != key.cells or fid in excluded or fid in voted:
-                        continue
-                    voted.add(fid)
-                    votes[fid] = votes.get(fid, 0) + 1
-            return votes
+        result = self._vote(list(descriptors), skip_recent)
+        return dict(zip(result.frame_ids.tolist(), result.votes.tolist()))
 
     def query_candidates(
         self, descriptors: list[TriangleDescriptor], skip_recent: int = 0
@@ -161,73 +352,87 @@ class DescriptorDatabase:
 
         Each (query descriptor, frame) contributes one vote and one pair; when
         a frame has several descriptors in the cell, the earliest stored one
-        becomes the pair partner.
+        becomes the pair partner. Pairs are listed in query order.
         """
-        with self._lock:
-            excluded = self._excluded_frames(skip_recent)
-            votes: dict[int, int] = {}
-            pairs: dict[int, list[tuple[TriangleDescriptor, TriangleDescriptor]]] = {}
-            for q in descriptors:
-                key = self.key_for(q)
-                voted: set[int] = set()
-                for stored in self._buckets.get(key.bucket, ()):
-                    fid = stored.descriptor.frame_id
-                    if stored.cells != key.cells or fid in excluded or fid in voted:
-                        continue
-                    voted.add(fid)
-                    votes[fid] = votes.get(fid, 0) + 1
-                    pairs.setdefault(fid, []).append((q, stored.descriptor))
-            ranked = sorted(votes.items(), key=lambda kv: (-kv[1], kv[0]))
-            return [
-                Candidate(frame_id=fid, votes=n, pairs=tuple(pairs[fid]))
-                for fid, n in ranked[:TOP_K_CANDIDATES]
-            ]
+        descriptors = list(descriptors)
+        result = self._vote(descriptors, skip_recent)
+        candidates = []
+        for f, fid, n in zip(
+            result.frames[:TOP_K_CANDIDATES].tolist(),
+            result.frame_ids[:TOP_K_CANDIDATES].tolist(),
+            result.votes[:TOP_K_CANDIDATES].tolist(),
+        ):
+            mine = result.match_frames == f
+            # a published frame's descriptor list never changes
+            partners = self._frame_descriptors[fid]
+            pairs = tuple(zip(
+                map(descriptors.__getitem__, result.query_rows[mine].tolist()),
+                map(partners.__getitem__, result.slots[mine].tolist()),
+            ))
+            candidates.append(Candidate(frame_id=fid, votes=n, pairs=pairs))
+        return candidates
 
     # -- persistence ---------------------------------------------------------
 
     def save(self, path) -> None:
-        """Write a binary snapshot; loading it reproduces the database exactly."""
+        """Write a binary snapshot; loading it reproduces the database exactly.
+
+        Layout (v1, little-endian): magic, header (version, delta_l, delta_n,
+        frame count), then per frame in insertion order its id, descriptor
+        count and 24 doubles per descriptor: vertices, normals, sides and
+        centroid.
+        """
         with self._lock:
             chunks = [
                 _SNAPSHOT_MAGIC,
-                struct.pack("<IddQ", _SNAPSHOT_VERSION, self.delta_l, self.delta_n,
-                            len(self._insertion_order)),
+                _HEADER.pack(_SNAPSHOT_VERSION, self.delta_l, self.delta_n,
+                             len(self._insertion_order)),
             ]
             for fid in self._insertion_order:
                 descs = self._frame_descriptors[fid]
-                chunks.append(struct.pack("<qQ", fid, len(descs)))
-                for d in descs:
-                    values = np.concatenate(
-                        [d.vertices.ravel(), d.normals.ravel(), np.asarray(d.sides), d.centroid]
-                    )
-                    chunks.append(struct.pack(f"<{_DESC_FLOATS}d", *values))
+                chunks.append(_FRAME_HEADER.pack(fid, len(descs)))
+                if descs:
+                    chunks.append(_frame_record(descs).tobytes())
             Path(path).write_bytes(b"".join(chunks))
 
     @classmethod
     def load(cls, path) -> "DescriptorDatabase":
+        """Read a snapshot written by ``save``; a malformed file raises
+        ``MalformedRecord``."""
         raw = Path(path).read_bytes()
         if raw[:8] != _SNAPSHOT_MAGIC:
             raise MalformedRecord(f"{path}: bad magic, not a descriptor snapshot")
-        offset = 8
-        version, delta_l, delta_n, n_frames = struct.unpack_from("<IddQ", raw, offset)
+        offset = len(_SNAPSHOT_MAGIC)
+
+        def take(n_bytes: int, what: str) -> int:
+            nonlocal offset
+            if len(raw) - offset < n_bytes:
+                raise MalformedRecord(
+                    f"{path}: truncated snapshot, {what} needs {n_bytes} bytes at "
+                    f"offset {offset}, {len(raw) - offset} left"
+                )
+            offset += n_bytes
+            return offset - n_bytes
+
+        version, delta_l, delta_n, n_frames = _HEADER.unpack_from(
+            raw, take(_HEADER.size, "header"))
         if version != _SNAPSHOT_VERSION:
             raise MalformedRecord(f"{path}: unsupported snapshot version {version}")
-        offset += struct.calcsize("<IddQ")
-        db = cls(delta_l=delta_l, delta_n=delta_n)
+        try:
+            db = cls(delta_l=delta_l, delta_n=delta_n)
+        except ValueError as exc:
+            raise MalformedRecord(f"{path}: {exc}") from None
         for _ in range(n_frames):
-            fid, n_descs = struct.unpack_from("<qQ", raw, offset)
-            offset += struct.calcsize("<qQ")
-            descriptors = []
-            for _ in range(n_descs):
-                values = struct.unpack_from(f"<{_DESC_FLOATS}d", raw, offset)
-                offset += _DESC_FLOATS * 8
-                descriptors.append(
-                    TriangleDescriptor(
-                        vertices=np.array(values[0:9]).reshape(3, 3),
-                        normals=np.array(values[9:18]).reshape(3, 3),
-                        sides=(values[18], values[19], values[20]),
-                        frame_id=fid,
-                    )
-                )
-            db.insert_frame(fid, descriptors)
+            fid, n_descs = _FRAME_HEADER.unpack_from(
+                raw, take(_FRAME_HEADER.size, "frame header"))
+            start = take(n_descs * _DESC_BYTES, f"frame {fid}")
+            record = np.frombuffer(
+                raw, dtype="<f8", count=n_descs * _DESC_FLOATS, offset=start
+            ).reshape(n_descs, _DESC_FLOATS).astype(np.float64)
+            db._publish(fid, _record_descriptors(record, fid),
+                        record[:, 18:21], record[:, 9:18])
+        if offset != len(raw):
+            raise MalformedRecord(
+                f"{path}: {len(raw) - offset} trailing bytes after the last frame"
+            )
         return db

@@ -163,7 +163,7 @@ def run_sequence(
         write_timings_csv(out / "timings.csv", records)
         write_gt_csv(out / "gt.csv", gt)
         if any(gt.values()):
-            write_pr_csv(out / "pr.csv", pr_sweep(records, gt, DEFAULT_SWEEP_GRID))
+            write_pr_csv(out / "pr.csv", pr_sweep(records, gt, DEFAULT_SWEEP_GRID, cfg.mode))
         (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return result
 
@@ -182,7 +182,7 @@ def _percentiles(values: list[float]) -> dict:
 
 def _summarize(records: list[EvalRecord], gt: dict[int, list[int]], cfg: PipelineConfig,
                wall_ms: float) -> dict:
-    tp, fp, fn = _classify(records, gt, cfg.sigma_pc)
+    tp, fp, fn = _classify(records, gt, cfg.sigma_pc, cfg.mode)
     return {
         "n_keyframes": len(records),
         "n_detections": sum(r.detected_id is not None for r in records),
@@ -199,18 +199,25 @@ def _summarize(records: list[EvalRecord], gt: dict[int, list[int]], cfg: Pipelin
     }
 
 
-def _detection_at(record: EvalRecord, sigma_pc: float) -> int | None:
-    for cand in record.candidates:
-        if cand.overlap >= sigma_pc:
-            return cand.frame_id
-    return None
+def _detection_at(record: EvalRecord, sigma_pc: float, mode: str) -> int | None:
+    """The frame the session reports at sigma_pc: in "first" mode the first
+    passing candidate in vote order, otherwise the passing candidate with the
+    highest overlap (the earliest in vote order on ties)."""
+    passing = [cand for cand in record.candidates if cand.overlap >= sigma_pc]
+    if not passing:
+        return None
+    if mode == "first":
+        return passing[0].frame_id
+    return max(passing, key=lambda cand: cand.overlap).frame_id
 
 
-def _classify(records: list[EvalRecord], gt: dict[int, list[int]], sigma_pc: float):
+def _classify(
+    records: list[EvalRecord], gt: dict[int, list[int]], sigma_pc: float, mode: str
+):
     tp = fp = fn = 0
     for r in records:
         loops = set(gt.get(r.query_id, ()))
-        detected = _detection_at(r, sigma_pc)
+        detected = _detection_at(r, sigma_pc, mode)
         if detected is not None:
             if detected in loops:
                 tp += 1
@@ -225,14 +232,16 @@ def pr_sweep(
     records: list[EvalRecord],
     gt: dict[int, list[int]],
     grid=DEFAULT_SWEEP_GRID,
+    mode: str = "first",
 ) -> list[dict]:
     """Precision/recall per acceptance threshold, re-scored from stored
-    candidate overlaps. Precision is None when there are no detections."""
+    candidate overlaps with the run's selection ``mode``. Precision is None
+    when there are no detections."""
     if not gt or all(not v for v in gt.values()):
         raise NoGroundTruth("no ground-truth loops available for the sweep")
     rows = []
     for sigma in sorted(grid):
-        tp, fp, fn = _classify(records, gt, sigma)
+        tp, fp, fn = _classify(records, gt, sigma, mode)
         precision = tp / (tp + fp) if (tp + fp) > 0 else None
         recall = tp / (tp + fn) if (tp + fn) > 0 else None
         rows.append(

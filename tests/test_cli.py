@@ -124,6 +124,30 @@ class TestSweep:
         assert lines[0] == "sigma_pc,tp,fp,fn,precision,recall"
         assert len(lines) == 1 + 19
 
+    def test_sweep_mode_selects_like_the_run(self, tmp_path):
+        # query 10: the first passing candidate (3) is no loop, the one with
+        # the best overlap (7) is; query 11 picks 5 either way
+        records = tmp_path / "records.csv"
+        records.write_text(
+            "query_id,detected_id,overlap,votes,rot_err_deg,trans_err_m,candidates\n"
+            "10,7,0.900000,30,,,3:40:0.600000;7:30:0.900000\n"
+            "11,5,0.800000,25,,,5:25:0.800000;2:20:0.400000\n"
+        )
+        gt = tmp_path / "gt.csv"
+        gt.write_text("query_id,loop_ids\n10,7\n11,5\n")
+        expected = {
+            "first": ["0.50,1,1,0,0.500000,1.000000", "0.70,2,0,0,1.000000,1.000000"],
+            "best": ["0.50,2,0,0,1.000000,1.000000", "0.70,2,0,0,1.000000,1.000000"],
+        }
+        for mode, rows in expected.items():
+            out_csv = tmp_path / f"pr_{mode}.csv"
+            code = main(
+                ["sweep", "--records", str(records), "--gt", str(gt),
+                 "--out", str(out_csv), "--grid", "0.5:0.7:0.2", "--mode", mode]
+            )
+            assert code == 0
+            assert out_csv.read_text().splitlines()[1:] == rows, mode
+
     def test_bad_grid_is_config_error(self, loop_run):
         base, _, _, _, out_dir = loop_run
         code = main(

@@ -1,10 +1,20 @@
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
 
-from triloop.database import DescriptorDatabase, make_key, quantize
-from triloop.descriptors import TriangleDescriptor
+from triloop.database import (
+    DescriptorDatabase,
+    frame_keys,
+    frame_signatures,
+    make_key,
+    quantize,
+)
+from triloop.descriptors import TriangleDescriptor, build_descriptors
 from triloop.errors import DuplicateFrame, MalformedRecord
 from triloop.geometry import RigidTransform, random_rotation
+from triloop.keypoints import KeyPoint
 
 
 def synth_descriptor(rng, frame_id, side_range=(1.0, 30.0), structured_normals=False):
@@ -303,3 +313,241 @@ def test_concurrent_readers_never_see_partial_frames():
     for t in threads:
         t.join()
     assert not violations
+
+
+def keypoint_frame(rng, frame_id, n_keypoints=40):
+    """A build_descriptors frame from random key points with axis-clustered
+    normals, the way the pipeline makes them."""
+    positions = rng.uniform(0.0, 30.0, size=(n_keypoints, 3))
+    normals = np.eye(3)[rng.integers(3, size=n_keypoints)]
+    normals = normals + rng.normal(scale=0.05, size=(n_keypoints, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    kps = [
+        KeyPoint(position=p, normal=n, plane_id=0, frame_id=frame_id, strength=1.0)
+        for p, n in zip(positions, normals)
+    ]
+    return build_descriptors(kps, k_neighbors=10, frame_id=frame_id)
+
+
+def stacked(descriptors):
+    return (
+        np.array([d.sides for d in descriptors]),
+        np.array([d.normals for d in descriptors]),
+    )
+
+
+def assert_keys_match_make_key(signatures, delta_l, delta_n):
+    cells, buckets = frame_keys(signatures, delta_l, delta_n)
+    assert cells.dtype == np.int64 and buckets.dtype == np.uint64
+    for sig, row, bucket in zip(signatures, cells.tolist(), buckets.tolist()):
+        key = make_key(sig, delta_l, delta_n)
+        assert tuple(row) == key.cells
+        assert bucket == key.bucket
+
+
+class TestFrameKeys:
+    def test_signatures_bit_equal_to_scalar_signature(self):
+        # the vectorized normal dot products must round exactly like the
+        # scalar ``n1 @ n2``; einsum differs in the last ulp on a third of them
+        rng = np.random.default_rng(20)
+        frame = keypoint_frame(rng, 0) + synth_frame(rng, 0, 500)
+        got = frame_signatures(*stacked(frame))
+        expected = np.array([d.signature() for d in frame])
+        assert got.shape == (len(frame), 6)
+        assert np.array_equal(got, expected)
+
+    def test_cells_and_buckets_equal_make_key(self):
+        rng = np.random.default_rng(21)
+        frame = keypoint_frame(rng, 0)
+        assert len(frame) > 500
+        signatures = frame_signatures(*stacked(frame))
+        assert_keys_match_make_key(signatures, 0.2, 0.1)
+        assert_keys_match_make_key(signatures, 0.25, 0.05)
+
+    def test_cell_boundaries_quantize_like_make_key(self):
+        rng = np.random.default_rng(22)
+        delta_l, delta_n = 0.2, 0.1
+        boundaries = np.hstack([
+            rng.integers(0, 200, size=(300, 3)) * delta_l,
+            rng.integers(0, 11, size=(300, 3)) * delta_n,
+        ])
+        offsets = rng.choice([-1e-12, -1e-13, 0.0, 1e-13, 1e-12], size=(300, 6))
+        signatures = boundaries + offsets
+        up = np.nextafter(boundaries, np.inf)
+        down = np.nextafter(boundaries, -np.inf)
+        for sig in (signatures, boundaries, up, down):
+            assert_keys_match_make_key(sig, delta_l, delta_n)
+
+    def test_negative_cells_wrap_like_make_key(self):
+        signatures = np.array([[-3.1, 0.0, 7.3, -0.05, 1.0, 0.3]])
+        assert_keys_match_make_key(signatures, 0.2, 0.1)
+
+    def test_normals_in_any_memory_layout_give_the_same_keys(self):
+        rng = np.random.default_rng(27)
+        frame = synth_frame(rng, 0, 20)
+        layouts = {
+            "fortran": np.asfortranarray,
+            "transposed view": lambda n: n.T.copy().T,
+            "row view": lambda n: np.vstack([n, n])[:3],
+            "nested lists": lambda n: n.tolist(),
+        }
+        expected = [make_key(d.signature(), 0.2, 0.1) for d in frame]
+        for name, layout in layouts.items():
+            db = DescriptorDatabase()
+            moved = [TriangleDescriptor(d.vertices, layout(d.normals), d.sides, 0) for d in frame]
+            db.insert_frame(0, moved)
+            votes = db.vote_counts(frame)
+            assert votes == {0: len(frame)}, name
+            _, buckets = frame_keys(frame_signatures(*stacked(moved)), 0.2, 0.1)
+            assert [k.bucket for k in expected] == buckets.tolist(), name
+
+    def test_non_finite_signature_rejected(self):
+        with pytest.raises(ValueError):
+            frame_keys(np.array([[1.0, 2.0, np.nan, 0.1, 0.2, 0.3]]), 0.2, 0.1)
+
+
+class TestVoteKernel:
+    def test_pair_partner_is_earliest_stored_in_cell(self):
+        rng = np.random.default_rng(23)
+        [d] = synth_frame(rng, 0, 1)
+        other = synth_frame(rng, 0, 3, side_range=(50.0, 80.0))
+
+        def copy(offset, frame_id):
+            # same signature, distinguishable vertices
+            return TriangleDescriptor(d.vertices + offset, d.normals, d.sides, frame_id)
+
+        db = DescriptorDatabase()
+        db.insert_frame(0, [other[0], copy(1.0, 0), other[1], copy(2.0, 0), other[2]])
+        db.insert_frame(1, [copy(3.0, 1), copy(4.0, 1)])
+        query = [TriangleDescriptor(d.vertices, d.normals, d.sides, frame_id=9)]
+        cands = db.query_candidates(query, skip_recent=0)
+        assert [(c.frame_id, c.votes) for c in cands] == [(0, 1), (1, 1)]
+        [(q0, s0)] = cands[0].pairs
+        [(q1, s1)] = cands[1].pairs
+        assert q0 is query[0] and q1 is query[0]
+        assert np.array_equal(s0.vertices, d.vertices + 1.0)
+        assert np.array_equal(s1.vertices, d.vertices + 3.0)
+
+    def test_pairs_follow_query_order_and_equal_votes(self):
+        rng = np.random.default_rng(24)
+        db = DescriptorDatabase()
+        stored = []
+        for f in range(15):
+            frame = synth_frame(rng, f, 40, side_range=(1.0, 4.0), structured_normals=True)
+            stored.extend(frame)
+            db.insert_frame(f, frame)
+        query = synth_frame(rng, 99, 60, side_range=(1.0, 4.0), structured_normals=True)
+        cands = db.query_candidates(query, skip_recent=3)
+        assert cands
+        position = {id(q): i for i, q in enumerate(query)}
+        for c in cands:
+            assert len(c.pairs) == c.votes
+            rows = [position[id(q)] for q, _ in c.pairs]
+            assert rows == sorted(set(rows))  # one pair per query row, in order
+            for q, s in c.pairs:
+                assert s.frame_id == c.frame_id
+                assert db.key_for(q) == db.key_for(s)
+        expected = brute_force_votes(stored, query, db.delta_l, db.delta_n,
+                                     excluded={12, 13, 14})
+        assert db.vote_counts(query, skip_recent=3) == expected
+
+    def test_long_buckets_across_merged_segments(self):
+        # frames of uneven size, some empty, share a few cells, so buckets
+        # span many frames and the index merges segments at uneven points
+        rng = np.random.default_rng(28)
+        shared = synth_frame(rng, 0, 4, side_range=(1.0, 4.0), structured_normals=True)
+        db = DescriptorDatabase()
+        frames = {}
+        for f in range(60):
+            frame = synth_frame(rng, f, int(rng.integers(0, 25)),
+                                side_range=(1.0, 4.0), structured_normals=True)
+            frame += [dataclasses.replace(shared[i], frame_id=f)
+                      for i in rng.integers(0, len(shared), size=int(rng.integers(0, 4)))]
+            frames[f] = [frame[i] for i in rng.permutation(len(frame))]
+            db.insert_frame(f, frames[f])
+        query = shared + synth_frame(rng, 99, 30, side_range=(1.0, 4.0),
+                                     structured_normals=True)
+        stored = [d for frame in frames.values() for d in frame]
+        for skip in (0, 5):
+            expected = brute_force_votes(stored, query, db.delta_l, db.delta_n,
+                                         excluded=set(range(60 - skip, 60)))
+            assert db.vote_counts(query, skip_recent=skip) == expected
+        cands = db.query_candidates(query, skip_recent=0)
+        assert cands
+        for c in cands:
+            assert len(c.pairs) == c.votes
+            for q, s in c.pairs:
+                partner = next(d for d in frames[c.frame_id] if db.key_for(d) == db.key_for(q))
+                assert s is partner
+
+    def test_empty_query_and_empty_database(self):
+        rng = np.random.default_rng(25)
+        db = DescriptorDatabase()
+        query = synth_frame(rng, 1, 5)
+        assert db.query_candidates(query) == []
+        assert db.vote_counts(query) == {}
+        db.insert_frame(0, synth_frame(rng, 0, 5))
+        assert db.query_candidates([]) == []
+        assert db.vote_counts([]) == {}
+
+
+def reference_v1_snapshot(delta_l, delta_n, frames):
+    """The v1 snapshot layout written field by field with struct."""
+    chunks = [b"TRIDESC1", struct.pack("<IddQ", 1, delta_l, delta_n, len(frames))]
+    for fid, descs in frames:
+        chunks.append(struct.pack("<qQ", fid, len(descs)))
+        for d in descs:
+            values = np.concatenate(
+                [d.vertices.ravel(), d.normals.ravel(), np.asarray(d.sides), d.centroid]
+            )
+            chunks.append(struct.pack("<24d", *values))
+    return b"".join(chunks)
+
+
+class TestSnapshotFormat:
+    def make_db(self):
+        rng = np.random.default_rng(26)
+        frames = [
+            (7, synth_frame(rng, 7, 30)),
+            (3, []),
+            (-2, keypoint_frame(rng, -2, n_keypoints=12)),
+        ]
+        db = DescriptorDatabase(delta_l=0.25, delta_n=0.05)
+        for fid, descs in frames:
+            db.insert_frame(fid, descs)
+        return db, reference_v1_snapshot(0.25, 0.05, frames)
+
+    def test_save_writes_the_reference_v1_bytes(self, tmp_path):
+        db, reference = self.make_db()
+        path = tmp_path / "db.bin"
+        db.save(path)
+        assert path.read_bytes() == reference
+        ref_path = tmp_path / "ref.bin"
+        ref_path.write_bytes(reference)
+        loaded = DescriptorDatabase.load(ref_path)
+        assert (loaded.frames_indexed, loaded.descriptors_indexed) == (3, db.descriptors_indexed)
+        loaded.save(path)
+        assert path.read_bytes() == reference
+
+    def test_truncated_snapshot_rejected(self, tmp_path):
+        _, raw = self.make_db()
+        path = tmp_path / "cut.bin"
+        # inside the header, a frame header, and a descriptor row
+        for size in (8, 20, 36 + 8, 36 + 16 + 100, len(raw) - 1):
+            path.write_bytes(raw[:size])
+            with pytest.raises(MalformedRecord, match="truncated"):
+                DescriptorDatabase.load(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        _, raw = self.make_db()
+        path = tmp_path / "db.bin"
+        path.write_bytes(raw + b"\x00")
+        with pytest.raises(MalformedRecord, match="trailing"):
+            DescriptorDatabase.load(path)
+
+    def test_bad_resolution_in_header_rejected(self, tmp_path):
+        _, raw = self.make_db()
+        path = tmp_path / "db.bin"
+        path.write_bytes(raw[:12] + struct.pack("<d", float("nan")) + raw[20:])
+        with pytest.raises(MalformedRecord):
+            DescriptorDatabase.load(path)

@@ -6,6 +6,7 @@ from triloop.errors import NoGroundTruth
 from triloop.evaluation import (
     CandidateScoreRow,
     EvalRecord,
+    _summarize,
     ground_truth_loops,
     pose_error,
     pr_sweep,
@@ -15,6 +16,7 @@ from triloop.evaluation import (
     write_records_csv,
 )
 from triloop.geometry import RigidTransform, random_rotation, rotation_about_axis
+from triloop.pipeline import PipelineConfig
 
 
 class TestPoseError:
@@ -124,6 +126,25 @@ class TestPrSweep:
         assert (row["tp"], row["fp"]) == (0, 1)  # frame 7 wins vote order
         [row] = pr_sweep([rec], gt, grid=[0.6])
         assert (row["tp"], row["fp"]) == (1, 0)  # 7 fails, 3 passes
+
+    def test_best_mode_scores_the_highest_overlap(self):
+        rec = record(10, [(7, 50, 0.55), (3, 40, 0.95), (5, 30, 0.95)])
+        gt = {10: [3]}
+        for sigma in (0.5, 0.6):
+            [row] = pr_sweep([rec], gt, grid=[sigma], mode="best")
+            assert (row["tp"], row["fp"]) == (1, 0)  # 3: best overlap, first on ties
+        [row] = pr_sweep([rec], gt, grid=[0.99], mode="best")
+        assert (row["tp"], row["fp"], row["fn"]) == (0, 0, 1)
+
+
+@pytest.mark.parametrize("mode", ["first", "best"])
+def test_summary_counts_the_detection_the_session_reports(mode):
+    # vote order puts a wrong frame first; the best overlap is the true loop
+    rec = record(10, [(7, 50, 0.55), (3, 40, 0.95)], detected=7 if mode == "first" else 3)
+    gt = {10: [3]}
+    summary = _summarize([rec], gt, PipelineConfig(mode=mode, sigma_pc=0.5), wall_ms=0.0)
+    tp = int(rec.detected_id in gt[10])
+    assert (summary["tp"], summary["fp"], summary["fn"]) == (tp, 1 - tp, 0)
 
 
 class TestCsvRoundTrip:
