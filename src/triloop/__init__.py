@@ -7,7 +7,7 @@ by hash voting, and verify geometrically with a full 6-dof relative pose.
 """
 
 from .database import Candidate, DescriptorDatabase, HashKey, make_key
-from .descriptors import TriangleDescriptor, build_descriptors, descriptor_signature
+from .descriptors import TriangleDescriptor, build_descriptors
 from .errors import TriloopError
 from .geometry import Correspondences3, RigidTransform, solve_rigid_svd
 from .ingest import (
@@ -56,7 +56,6 @@ __all__ = [
     "accumulate_keyframe",
     "build_descriptors",
     "build_voxel_map",
-    "descriptor_signature",
     "extract_frame",
     "extract_keypoints",
     "grow_planes",

@@ -16,6 +16,7 @@ from .errors import (
     EmptyInput,
     MalformedRecord,
     NoGroundTruth,
+    NonFiniteInput,
     TriloopError,
     UnsupportedFormat,
 )
@@ -111,7 +112,7 @@ def main(argv=None) -> int:
     except (ConfigError, NoGroundTruth) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OSError, MalformedRecord, UnsupportedFormat, EmptyInput) as exc:
+    except (OSError, MalformedRecord, UnsupportedFormat, EmptyInput, NonFiniteInput) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except TriloopError as exc:

@@ -54,10 +54,6 @@ class TriangleDescriptor:
         )
 
 
-def descriptor_signature(descriptor: TriangleDescriptor) -> np.ndarray:
-    return descriptor.signature()
-
-
 def _canonical_order(pts: np.ndarray) -> tuple[int, int, int]:
     """Vertex permutation giving ascending sides, ties broken lexicographically."""
     d = {
@@ -79,10 +75,6 @@ def _canonical_order(pts: np.ndarray) -> tuple[int, int, int]:
         if best_key is None or key < best_key:
             best, best_key = perm, key
     return best
-
-
-def _quantized_triple(sides: np.ndarray, resolution: float) -> tuple[int, int, int]:
-    return tuple(int(round(s / resolution)) for s in sides)
 
 
 def build_descriptors(
@@ -107,33 +99,23 @@ def build_descriptors(
     normals = np.array([keypoints[i].normal for i in order])
     m = len(positions)
     k = min(k_neighbors, m - 1)
+    if k < 2:  # a triangle needs two neighbors besides its anchor
+        return []
 
     tree = cKDTree(positions)
     # k+1 because the anchor is its own nearest neighbor
     _, nn = tree.query(positions, k=k + 1)
-    nn = np.atleast_2d(nn)
+    not_self = nn != np.arange(m)[:, None]
+    not_self &= np.cumsum(not_self, axis=1) <= k
+    nbr = np.sort(nn[not_self].reshape(m, k), axis=1)
 
-    # enumerate candidate vertex triples anchor-major, pairs in index order
+    # candidate vertex triples anchor-major, neighbor pairs in index order
     pair_a, pair_b = np.triu_indices(k, k=1)
-    triples = []
-    for anchor in range(m):
-        nearest = [int(j) for j in nn[anchor] if int(j) != anchor][:k]
-        nbr = np.array(sorted(nearest), dtype=np.int64)
-        if len(nbr) < 2:
-            continue
-        if len(nbr) == k:
-            ii, jj = nbr[pair_a], nbr[pair_b]
-        else:
-            ia, ib = np.triu_indices(len(nbr), k=1)
-            ii, jj = nbr[ia], nbr[ib]
-        rows = np.empty((len(ii), 3), dtype=np.int64)
-        rows[:, 0] = anchor
-        rows[:, 1] = ii
-        rows[:, 2] = jj
-        triples.append(rows)
-    if not triples:
-        return []
-    idx = np.concatenate(triples)
+    idx = np.empty((m, len(pair_a), 3), dtype=np.int64)
+    idx[:, :, 0] = np.arange(m)[:, None]
+    idx[:, :, 1] = nbr[:, pair_a]
+    idx[:, :, 2] = nbr[:, pair_b]
+    idx = idx.reshape(-1, 3)
 
     a, b, c = positions[idx[:, 0]], positions[idx[:, 1]], positions[idx[:, 2]]
     raw = np.stack(
@@ -154,56 +136,41 @@ def build_descriptors(
 
     # first occurrence per quantized side triple, in enumeration order
     quantized = np.round(lengths / dedup_resolution).astype(np.int64)
-    _, first = np.unique(quantized, axis=0, return_index=True)
-    first.sort()
+    by_triple = np.lexsort(quantized.T[::-1])  # stable: first occurrence leads each run
+    q = quantized[by_triple]
+    run_start = np.ones(len(q), dtype=bool)
+    run_start[1:] = np.any(q[1:] != q[:-1], axis=1)
+    first = np.sort(by_triple[run_start])
     idx, raw, lengths = idx[first], raw[first], lengths[first]
 
-    emitted: list[TriangleDescriptor] = []
-    for perm, row, sides in zip(_canonical_orders(raw), idx, lengths):
-        if perm is None:  # tied side lengths: lexicographic tie-break
-            perm = _canonical_order(positions[row])
-        verts = positions[row[list(perm)]]
-        norms = normals[row[list(perm)]]
-        emitted.append(
-            TriangleDescriptor(
-                vertices=verts,
-                normals=norms,
-                sides=(float(sides[0]), float(sides[1]), float(sides[2])),
-                frame_id=frame_id,
-            )
+    # p1 is the vertex shared by the smallest and largest sides; exact ties
+    # fall back to the permutation scan
+    perm = _PERM_TABLE[np.argmin(raw, axis=1), np.argmax(raw, axis=1)]
+    tied = (lengths[:, 0] == lengths[:, 1]) | (lengths[:, 1] == lengths[:, 2])
+    for row in np.flatnonzero(tied):
+        perm[row] = _canonical_order(positions[idx[row]])
+    vertex_ids = np.take_along_axis(idx, perm, axis=1)
+    vertices, vertex_normals = positions[vertex_ids], normals[vertex_ids]
+
+    # sort by side triple; deduplication left no two rows with equal sides,
+    # so the vertex coordinates never break a tie
+    by_sides = np.lexsort(lengths.T[::-1])
+    return [
+        TriangleDescriptor(vertices=v, normals=n, sides=tuple(sides), frame_id=frame_id)
+        for v, n, sides in zip(
+            vertices[by_sides], vertex_normals[by_sides], lengths[by_sides].tolist()
         )
-    emitted.sort(key=lambda t: (t.sides, tuple(map(tuple, t.vertices))))
-    return emitted
+    ]
 
 
-# local vertex order (of [anchor, i, j]) for each (smallest side, largest side)
-# combination; sides are 0:{anchor,i} 1:{i,j} 2:{anchor,j}
-_PERM_TABLE = {
-    (0, 1): (1, 0, 2),
-    (0, 2): (0, 1, 2),
-    (1, 0): (1, 2, 0),
-    (1, 2): (2, 1, 0),
-    (2, 0): (0, 2, 1),
-    (2, 1): (2, 0, 1),
-}
-
-
-def _canonical_orders(raw_sides: np.ndarray):
-    """Canonical vertex permutation per triangle from its three raw sides.
-
-    Fast path: with distinct side lengths, p1 is the vertex shared by the
-    smallest and largest sides. Exact ties fall back to the permutation scan.
-    """
-    smallest = np.argmin(raw_sides, axis=1)
-    largest = np.argmax(raw_sides, axis=1)
-    sorted_sides = np.sort(raw_sides, axis=1)
-    tied = (sorted_sides[:, 0] == sorted_sides[:, 1]) | (
-        sorted_sides[:, 1] == sorted_sides[:, 2]
-    )
-    perms = []
-    for row in range(len(raw_sides)):
-        if tied[row]:
-            perms.append(None)  # caller resolves via the permutation scan
-        else:
-            perms.append(_PERM_TABLE[(int(smallest[row]), int(largest[row]))])
-    return perms
+# local vertex order (of [anchor, i, j]) indexed by (smallest side, largest
+# side); sides are 0:{anchor,i} 1:{i,j} 2:{anchor,j}; rows with equal indices
+# are never looked up for untied sides
+_PERM_TABLE = np.zeros((3, 3, 3), dtype=np.int64)
+_PERM_TABLE[0, 1] = (1, 0, 2)
+_PERM_TABLE[0, 2] = (0, 1, 2)
+_PERM_TABLE[1, 0] = (1, 2, 0)
+_PERM_TABLE[1, 2] = (2, 1, 0)
+_PERM_TABLE[2, 0] = (0, 2, 1)
+_PERM_TABLE[2, 1] = (2, 0, 1)
+_PERM_TABLE.setflags(write=False)

@@ -9,6 +9,10 @@ class EmptyInput(TriloopError, ValueError):
     """An operation received an empty point cloud or scan list."""
 
 
+class NonFiniteInput(TriloopError, ValueError):
+    """Input points contain NaN or infinite coordinates."""
+
+
 class DegenerateInput(TriloopError, ValueError):
     """Point configuration too degenerate for the requested solve."""
 

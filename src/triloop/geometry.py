@@ -27,6 +27,18 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
+def _check_rigid(R: np.ndarray, t: np.ndarray) -> None:
+    """Raise ValueError unless R, one (3, 3) or a stack (k, 3, 3), holds proper
+    rotations (orthonormal, det +1, within ORTHONORMALITY_TOL) and R and t
+    are finite."""
+    if not (np.isfinite(R).all() and np.isfinite(t).all()):
+        raise ValueError("transform contains non-finite values")
+    if np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3)).max() > ORTHONORMALITY_TOL:
+        raise ValueError("rotation is not orthonormal within 1e-9")
+    if np.abs(np.linalg.det(R) - 1.0).max() > ORTHONORMALITY_TOL:
+        raise ValueError("rotation determinant is not +1 within 1e-9")
+
+
 @dataclass(frozen=True)
 class RigidTransform:
     """Proper rigid motion p -> R @ p + t.
@@ -43,12 +55,7 @@ class RigidTransform:
         t = np.array(self.t, dtype=np.float64).reshape(3)
         if R.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got {R.shape}")
-        if not (np.all(np.isfinite(R)) and np.all(np.isfinite(t))):
-            raise ValueError("transform contains non-finite values")
-        if np.max(np.abs(R.T @ R - np.eye(3))) > ORTHONORMALITY_TOL:
-            raise ValueError("rotation is not orthonormal within 1e-9")
-        if abs(np.linalg.det(R) - 1.0) > ORTHONORMALITY_TOL:
-            raise ValueError("rotation determinant is not +1 within 1e-9")
+        _check_rigid(R, t)
         R.setflags(write=False)
         t.setflags(write=False)
         object.__setattr__(self, "R", R)
@@ -133,6 +140,45 @@ def _all_collinear(points: np.ndarray, tol: float = COLLINEARITY_TOL) -> bool:
     return True
 
 
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis, bit-equal to np.linalg.norm of each
+    1-D row (a stacked matmul takes the same dot-product path)."""
+    return np.sqrt(vectors[..., None, :] @ vectors[..., :, None])[..., 0, 0]
+
+
+def collinear_triples(points: np.ndarray, tol: float = COLLINEARITY_TOL) -> np.ndarray:
+    """_all_collinear for each of k three-point sets (k, 3, 3), same arithmetic."""
+    d = points[:, 1:] - points[:, :1]  # offsets of points 1 and 2 from point 0
+    n = _norms(d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = d / n[..., None]
+    bent = _norms(np.cross(u[:, 0], u[:, 1])) > tol
+    return (n[:, 0] < tol) | (n[:, 1] < tol) | ~bent
+
+
+def solve_rigid_svd_batch(source: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """solve_rigid_svd for k correspondence sets at once.
+
+    source and target are (k, n, 3); returns R (k, 3, 3) and t (k, 3), each
+    bit-equal to solving its set alone. The caller drops degenerate sets
+    first (see collinear_triples). Raises ValueError, as RigidTransform
+    does, if any solution fails its checks.
+    """
+    qa = source.mean(axis=1)
+    qb = target.mean(axis=1)
+    H = np.swapaxes(source - qa[:, None], 1, 2) @ (target - qb[:, None])
+    U, _, Vt = np.linalg.svd(H)
+    V = np.swapaxes(Vt, 1, 2)
+    Ut = np.swapaxes(U, 1, 2)
+    D = np.zeros_like(H)
+    D[:, 0, 0] = D[:, 1, 1] = 1.0
+    D[:, 2, 2] = np.sign(np.linalg.det(V @ Ut))
+    R = V @ D @ Ut
+    t = ((-R) @ qa[:, :, None])[:, :, 0] + qb
+    _check_rigid(R, t)
+    return R, t
+
+
 def solve_rigid_svd(corr: Correspondences3) -> RigidTransform:
     """Least-squares rigid transform mapping corr.source onto corr.target.
 
@@ -144,16 +190,8 @@ def solve_rigid_svd(corr: Correspondences3) -> RigidTransform:
         raise DegenerateInput(f"need at least 3 correspondences, got {len(corr)}")
     if _all_collinear(corr.source):
         raise DegenerateInput("source points are collinear; rotation is not unique")
-
-    qa = corr.source_centroid
-    qb = corr.target_centroid
-    H = (corr.source - qa).T @ (corr.target - qb)
-    U, _, Vt = np.linalg.svd(H)
-    V = Vt.T
-    d = np.sign(np.linalg.det(V @ U.T))
-    R = V @ np.diag([1.0, 1.0, d]) @ U.T
-    t = -R @ qa + qb
-    return RigidTransform(R, t)
+    R, t = solve_rigid_svd_batch(corr.source[None], corr.target[None])
+    return RigidTransform(R[0], t[0])
 
 
 def rotation_about_axis(axis, angle_rad: float) -> np.ndarray:

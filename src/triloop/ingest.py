@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyInput, MalformedRecord, NonPositiveLeaf, UnsupportedFormat
+from .errors import EmptyInput, MalformedRecord, NonFiniteInput, NonPositiveLeaf, UnsupportedFormat
 from .geometry import RigidTransform, nearest_rotation, rotation_from_quaternion
 
 KITTI_RECORD_BYTES = 16  # 4 little-endian float32: x, y, z, intensity
@@ -30,6 +30,11 @@ class Scan:
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) == 0:
             raise EmptyInput(f"scan {self.index} has no points")
+        if not np.isfinite(pts).all():
+            bad = np.count_nonzero(~np.isfinite(pts).all(axis=1))
+            raise NonFiniteInput(
+                f"scan {self.index}: {bad} of {len(pts)} points have NaN or infinite coordinates"
+            )
         object.__setattr__(self, "points", pts)
 
 

@@ -19,16 +19,23 @@ from scipy.spatial import cKDTree
 from .database import Candidate
 from .descriptors import TriangleDescriptor
 from .errors import (
-    DegenerateInput,
     EmptyPlaneList,
     InsufficientOverlap,
     NoValidTransform,
 )
-from .geometry import Correspondences3, RigidTransform, solve_rigid_svd
+from .geometry import (
+    ORTHONORMALITY_TOL,
+    Correspondences3,
+    RigidTransform,
+    collinear_triples,
+    solve_rigid_svd,
+    solve_rigid_svd_batch,
+)
 from .planes import Plane
 
 MIN_INLIER_PAIRS = 4
 MIN_REFINE_PAIRS = 10
+INLIER_CHUNK = 1 << 18  # (vertex, hypothesis) distances per inlier-count step; bounds temporaries
 
 PairList = list[tuple[TriangleDescriptor, TriangleDescriptor]]
 
@@ -57,12 +64,6 @@ class ScoredCandidate:
     inlier_pairs: int
 
 
-def _vertex_correspondences(pairs: PairList) -> tuple[np.ndarray, np.ndarray]:
-    src = np.concatenate([q.vertices for q, _ in pairs])
-    dst = np.concatenate([s.vertices for _, s in pairs])
-    return src, dst
-
-
 def ransac_transform(
     pairs: PairList,
     iterations: int = 100,
@@ -74,38 +75,99 @@ def ransac_transform(
     Each iteration solves the closed-form alignment of one sampled pair's
     three vertices, then counts pairs whose vertices all land within
     inlier_tol. The best iteration's inliers are re-solved jointly.
+
+    All samples are drawn and solved in one batch, and inliers are counted
+    for all hypotheses at once, a chunk of pairs at a time; the result,
+    including the generator's state afterwards, is that of solving and
+    counting one iteration after another.
     """
     if not pairs:
         raise NoValidTransform("no matched pairs to verify")
     rng = np.random.default_rng(0) if rng is None else rng
 
-    src_all, dst_all = _vertex_correspondences(pairs)
-    src_tris = src_all.reshape(-1, 3, 3)
-    dst_tris = dst_all.reshape(-1, 3, 3)
+    src_tris = np.concatenate([q.vertices for q, _ in pairs]).reshape(-1, 3, 3)
+    dst_tris = np.concatenate([s.vertices for _, s in pairs]).reshape(-1, 3, 3)
 
-    best_count = 0
-    best_mask: np.ndarray | None = None
-    for _ in range(iterations):
-        pick = int(rng.integers(len(pairs)))
-        try:
-            t = solve_rigid_svd(Correspondences3(src_tris[pick], dst_tris[pick]))
-        except DegenerateInput:
-            continue
-        moved = src_tris @ t.R.T + t.t
-        ok = np.all(np.linalg.norm(moved - dst_tris, axis=2) < inlier_tol, axis=1)
-        count = int(ok.sum())
-        if count > best_count:
-            best_count = count
-            best_mask = ok
-
-    if best_mask is None or best_count < MIN_INLIER_PAIRS:
+    picks = rng.integers(len(pairs), size=max(iterations, 0))
+    picks = picks[~collinear_triples(src_tris[picks])]  # degenerate samples are skipped
+    if len(picks):
+        R, t = solve_rigid_svd_batch(src_tris[picks], dst_tris[picks])
+        counts = _count_inliers(src_tris, dst_tris, R, t, inlier_tol)
+        best = int(np.argmax(counts))  # first of the strictly highest, in draw order
+        best_count = int(counts[best])
+    else:
+        best_count = 0
+    if best_count < MIN_INLIER_PAIRS:
         raise NoValidTransform(
             f"best sample has {best_count} inlier pairs, need {MIN_INLIER_PAIRS}"
         )
+    best_mask = _inlier_mask(src_tris, dst_tris, R[best], t[best], inlier_tol)
     inliers = [p for p, keep in zip(pairs, best_mask) if keep]
-    src, dst = _vertex_correspondences(inliers)
-    refined = solve_rigid_svd(Correspondences3(src, dst))
+    refined = solve_rigid_svd(
+        Correspondences3(src_tris[best_mask].reshape(-1, 3), dst_tris[best_mask].reshape(-1, 3))
+    )
     return refined, inliers
+
+
+def _inlier_mask(src_tris, dst_tris, R, t, inlier_tol) -> np.ndarray:
+    """Pairs whose three vertices all land within inlier_tol under one or,
+    with R (m, 3, 3) and t (m, 3), under each row's own transform."""
+    moved = src_tris @ np.swapaxes(R, -1, -2) + t[..., None, :]
+    return np.all(np.linalg.norm(moved - dst_tris, axis=2) < inlier_tol, axis=1)
+
+
+def _count_inliers(src_tris, dst_tris, R, t, inlier_tol) -> np.ndarray:
+    """_inlier_mask(...).sum() for every hypothesis (R[h], t[h]), exactly.
+
+    One gemm per chunk of pairs gives every vertex's squared miss from
+    |R s + t - d|^2 = |s|^2 + |d|^2 + |t|^2 + 2 (R^T t).s - 2 t.d - 2 (d s^T):R,
+    which holds for orthonormal R. The form cancels, so it decides only the
+    (pair, hypothesis) rows that clear the tolerance by a margin above its
+    error: ten times ORTHONORMALITY_TOL relative to the coordinate scale
+    squared, against 3 * ORTHONORMALITY_TOL for |R s| != |s| and ~1e-13 of
+    rounding. The few rows inside that margin go to _inlier_mask itself.
+    """
+    counts = np.zeros(len(R), dtype=np.int64)
+    if not inlier_tol > 0:  # no distance is below a non-positive tolerance
+        return counts
+    s, d = src_tris.reshape(-1, 3), dst_tris.reshape(-1, 3)  # vertex rows, pair-major
+    pair_terms = np.concatenate(
+        [
+            (np.einsum("ij,ij->i", s, s) + np.einsum("ij,ij->i", d, d))[:, None],
+            np.ones((len(s), 1)),
+            s,
+            d,
+            (d[:, :, None] * s[:, None, :]).reshape(-1, 9),
+        ],
+        axis=1,
+    )
+    hyp_terms = np.concatenate(
+        [
+            np.ones((len(R), 1)),
+            np.einsum("hk,hk->h", t, t)[:, None],
+            2.0 * np.einsum("hkj,hk->hj", R, t),
+            -2.0 * t,
+            -2.0 * R.reshape(-1, 9),
+        ],
+        axis=1,
+    )
+    scale = sum(float(np.sqrt(np.einsum("ij,ij->i", a, a).max())) for a in (s, d, t))
+    margin = 10 * ORTHONORMALITY_TOL * (1.0 + scale) ** 2
+    if not np.isfinite(margin):  # non-finite or huge coordinates: decide every row exactly
+        margin = np.nan
+    inside_below, outside_from = inlier_tol**2 - margin, inlier_tol**2 + margin
+    step = max(1, INLIER_CHUNK // (3 * len(R)))
+    for lo in range(0, len(src_tris), step):
+        miss2 = (pair_terms[3 * lo : 3 * (lo + step)] @ hyp_terms.T).reshape(-1, 3, len(R))
+        worst = np.maximum(np.maximum(miss2[:, 0], miss2[:, 1]), miss2[:, 2])
+        inside = worst < inside_below
+        counts += np.count_nonzero(inside, axis=0)
+        pair, hyp = np.nonzero(~inside & ~(worst >= outside_from))  # NaN lands here too
+        if len(pair):
+            pair += lo
+            ok = _inlier_mask(src_tris[pair], dst_tris[pair], R[hyp], t[hyp], inlier_tol)
+            counts += np.bincount(hyp[ok], minlength=len(R))
+    return counts
 
 
 def _normal_residuals(rotated_normals: np.ndarray, target_normals: np.ndarray) -> np.ndarray:

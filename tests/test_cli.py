@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from triloop.cli import main
@@ -190,6 +191,16 @@ class TestExitCodes:
              "--out", str(tmp_path / "out")]
         )
         assert code == 2
+
+    def test_non_finite_scan_point_is_io_error(self, tmp_path, world):
+        poses = [yaw_pose(6.0 + i, 9.0, 1.5, 0.0) for i in range(3)]
+        scan_dir, pose_file = write_sequence(tmp_path, world, poses)
+        (scan_dir / "000001.bin").write_bytes(np.array([[np.nan, 0, 0, 0]], dtype="<f4").tobytes())
+        code = main(
+            ["run", "--scans", str(scan_dir), "--poses", str(pose_file),
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 3
 
     def test_empty_scan_file_is_io_error(self, tmp_path, world):
         poses = [yaw_pose(6.0 + i, 9.0, 1.5, 0.0) for i in range(3)]

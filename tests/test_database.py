@@ -77,15 +77,16 @@ def brute_force_votes(stored, queries, delta_l, delta_n, excluded=()):
             quantize(sig[i], delta_l if i < 3 else delta_n) for i in range(6)
         )
 
+    stored_cells = [(s.frame_id, cells(s)) for s in stored]
     votes = {}
     for q in queries:
         qc = cells(q)
         hit_frames = set()
-        for s in stored:
-            if s.frame_id in excluded or s.frame_id in hit_frames:
+        for frame_id, sc in stored_cells:
+            if frame_id in excluded or frame_id in hit_frames:
                 continue
-            if cells(s) == qc:
-                hit_frames.add(s.frame_id)
+            if sc == qc:
+                hit_frames.add(frame_id)
         for f in hit_frames:
             votes[f] = votes.get(f, 0) + 1
     return votes

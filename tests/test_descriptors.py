@@ -2,7 +2,7 @@ from itertools import permutations
 
 import numpy as np
 
-from triloop.descriptors import build_descriptors, descriptor_signature
+from triloop.descriptors import build_descriptors
 from triloop.geometry import RigidTransform, random_rotation
 from triloop.keypoints import KeyPoint
 
@@ -83,10 +83,14 @@ def test_unit_square_collapses_to_one_descriptor():
     assert np.allclose(descs[0].sides, (1.0, 1.0, np.sqrt(2.0)), atol=1e-12)
 
 
-def test_matches_exhaustive_oracle():
-    rng = np.random.default_rng(0)
-    pts = rng.uniform(0, 30, size=(30, 3))
-    normals = rng.normal(size=(30, 3))
+def lattice_points(rng, n):
+    """Distinct integer-lattice points: exact isosceles and equilateral ties."""
+    cells = rng.choice(5 * 5 * 3, size=n, replace=False)
+    return np.stack(np.unravel_index(cells, (5, 5, 3)), axis=1).astype(np.float64)
+
+
+def assert_matches_oracle(pts, rng):
+    normals = rng.normal(size=(len(pts), 3))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     kps = make_kps(pts, normals)
     got = build_descriptors(kps, k_neighbors=20)
@@ -96,6 +100,20 @@ def test_matches_exhaustive_oracle():
         assert np.allclose(g.vertices, e["vertices"], atol=0)
         assert np.allclose(g.normals, e["normals"], atol=0)
         assert np.allclose(g.sides, e["sides"], atol=1e-12)
+    return got
+
+
+def test_matches_exhaustive_oracle():
+    rng = np.random.default_rng(0)
+    assert_matches_oracle(rng.uniform(0, 30, size=(30, 3)), rng)
+    # lattice: exact isosceles and equilateral ties exercise the permutation
+    # scan and the sort; 21 points, so every other point is a neighbor and
+    # equal distances cannot change which neighbors the k-d tree returns
+    got = assert_matches_oracle(lattice_points(rng, 21), rng)
+    sides = np.array([g.sides for g in got])
+    isosceles = (sides[:, 0] == sides[:, 1]) | (sides[:, 1] == sides[:, 2])
+    equilateral = (sides[:, 0] == sides[:, 1]) & (sides[:, 1] == sides[:, 2])
+    assert isosceles.sum() > equilateral.sum() > 0
 
 
 def test_too_few_keypoints_yield_empty():
@@ -144,7 +162,7 @@ class TestSignature:
         s = 2.0
         pts = np.array([[0, 0, 0], [s, 0, 0], [s / 2, s * np.sqrt(3) / 2, 0]])
         [d] = build_descriptors(make_kps(pts), 20)
-        sig = descriptor_signature(d)
+        sig = d.signature()
         assert np.allclose(sig[:3], s, atol=1e-12)
         assert np.allclose(sig[3:], 1.0, atol=1e-12)
 

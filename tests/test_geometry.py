@@ -5,10 +5,13 @@ from triloop.errors import DegenerateInput
 from triloop.geometry import (
     Correspondences3,
     RigidTransform,
+    _all_collinear,
+    collinear_triples,
     random_rotation,
     rotation_about_axis,
     rotation_angle_deg,
     solve_rigid_svd,
+    solve_rigid_svd_batch,
 )
 
 TRIANGLE = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -61,6 +64,47 @@ def test_rejects_collinear_sources():
     src = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
     with pytest.raises(DegenerateInput):
         solve_rigid_svd(Correspondences3(src, src))
+
+
+def test_collinear_triples_match_scalar_rule():
+    rng = np.random.default_rng(11)
+    tris = rng.uniform(-20, 20, size=(300, 3, 3))
+    tris[:40, 2] = tris[:40, 0] + rng.uniform(-3, 3, size=(40, 1)) * (tris[:40, 1] - tris[:40, 0])
+    tris[40:60, 1] = tris[40:60, 0]
+    tris[60:70] = tris[60:70, :1]
+    tris[70:80, 2] = tris[70:80, 1] + 1e-10  # points 1 and 2 coincide within tolerance
+    tris[80:90, 0, 0] = np.nan
+    expected = [_all_collinear(t) for t in tris]
+    assert collinear_triples(tris).tolist() == expected
+    assert 0 < sum(expected) < len(tris)
+
+
+def scalar_kabsch(src, dst):
+    """Reference: the one-set Kabsch solve, written with 2-D arrays only."""
+    qa, qb = src.mean(axis=0), dst.mean(axis=0)
+    H = (src - qa).T @ (dst - qb)
+    U, _, Vt = np.linalg.svd(H)
+    V = Vt.T
+    d = np.sign(np.linalg.det(V @ U.T))
+    R = V @ np.diag([1.0, 1.0, d]) @ U.T
+    return R, -R @ qa + qb
+
+
+@pytest.mark.parametrize("n", [3, 50])
+def test_batch_solve_bit_equal_to_scalar_kabsch(n):
+    rng = np.random.default_rng(12)
+    src = rng.uniform(-40, 40, size=(200, n, 3))
+    truth = RigidTransform(random_rotation(rng), rng.uniform(-10, 10, 3))
+    dst = src @ truth.R.T + truth.t + rng.normal(scale=0.2, size=src.shape)
+    dst[::7] = dst[::7] * np.array([1.0, 1.0, -1.0])  # mirrored: exercises the sign fix
+    R, t = solve_rigid_svd_batch(src, dst)
+    for i in range(len(src)):
+        ref_R, ref_t = scalar_kabsch(src[i], dst[i])
+        assert ref_R.tobytes() == R[i].tobytes()
+        assert ref_t.tobytes() == t[i].tobytes()
+        single = solve_rigid_svd(Correspondences3(src[i], dst[i]))
+        assert single.R.tobytes() == ref_R.tobytes()
+        assert single.t.tobytes() == ref_t.tobytes()
 
 
 def test_reflection_guard_keeps_proper_rotation():

@@ -3,7 +3,15 @@ import struct
 import numpy as np
 import pytest
 
-from triloop.errors import EmptyInput, MalformedRecord, NonPositiveLeaf, UnsupportedFormat
+from triloop.errors import (
+    EmptyInput,
+    MalformedRecord,
+    NonFiniteInput,
+    NonPositiveLeaf,
+    TriloopError,
+    UnsupportedFormat,
+)
+from triloop.evaluation import run_sequence
 from triloop.geometry import RigidTransform, random_rotation, rotation_about_axis
 from triloop.ingest import (
     Scan,
@@ -15,10 +23,36 @@ from triloop.ingest import (
     write_kitti_bin,
     write_pcd_ascii,
 )
+from triloop.pipeline import PipelineConfig
 
 
 def identity():
     return RigidTransform.identity()
+
+
+class TestNonFinitePoints:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_scan_rejects_non_finite_points(self, bad):
+        pts = np.zeros((4, 3))
+        pts[2, 1] = bad
+        with pytest.raises(NonFiniteInput, match="1 of 4 points") as info:
+            Scan(points=pts, index=7, pose=identity())
+        assert isinstance(info.value, TriloopError)
+        assert isinstance(info.value, ValueError)
+
+    def test_run_sequence_rejects_nan_record(self, tmp_path):
+        scan_dir = tmp_path / "scans"
+        scan_dir.mkdir()
+        rng = np.random.default_rng(0)
+        for i in range(3):
+            write_kitti_bin(scan_dir / f"{i:06d}.bin", rng.uniform(-5, 5, size=(50, 3)))
+        records = np.zeros((2, 4), dtype="<f4")
+        records[1, 0] = np.nan
+        (scan_dir / "000001.bin").write_bytes(records.tobytes())
+        pose_file = tmp_path / "poses.txt"
+        pose_file.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n" * 3)
+        with pytest.raises(NonFiniteInput, match="scan 1"):
+            run_sequence(PipelineConfig(n_accumulate=3), scan_dir, pose_file)
 
 
 class TestKittiBin:

@@ -4,11 +4,25 @@ import pytest
 from triloop.database import DescriptorDatabase
 from triloop.descriptors import TriangleDescriptor
 from triloop.errors import EmptyPlaneList, InsufficientOverlap, NoValidTransform
-from triloop.geometry import RigidTransform, random_rotation, rotation_about_axis, rotation_angle_deg
-from triloop.loop import plane_icp, plane_overlap, ransac_transform, verify_loop
+from triloop.geometry import (
+    RigidTransform,
+    _all_collinear,
+    random_rotation,
+    rotation_about_axis,
+    rotation_angle_deg,
+)
+from triloop.loop import (
+    MIN_INLIER_PAIRS,
+    _count_inliers,
+    plane_icp,
+    plane_overlap,
+    ransac_transform,
+    verify_loop,
+)
 from triloop.planes import Plane
 
 from test_database import synth_descriptor, transformed
+from test_geometry import scalar_kabsch
 
 
 def place_randomly(rng, d: TriangleDescriptor) -> TriangleDescriptor:
@@ -100,6 +114,143 @@ class TestRansac:
             ):
                 successes += 1
         assert successes >= 99
+
+
+def scalar_ransac(pairs, iterations=100, inlier_tol=0.5, rng=None):
+    """Reference: one draw, one scalar Kabsch solve and one inlier count per
+    iteration."""
+    if not pairs:
+        raise NoValidTransform("no matched pairs to verify")
+    rng = np.random.default_rng(0) if rng is None else rng
+    src_tris = np.stack([q.vertices for q, _ in pairs])
+    dst_tris = np.stack([s.vertices for _, s in pairs])
+    best_count = 0
+    best_mask = None
+    for _ in range(iterations):
+        pick = int(rng.integers(len(pairs)))
+        if _all_collinear(src_tris[pick]):
+            continue
+        R, t = scalar_kabsch(src_tris[pick], dst_tris[pick])
+        moved = src_tris @ R.T + t
+        ok = np.all(np.linalg.norm(moved - dst_tris, axis=2) < inlier_tol, axis=1)
+        count = int(ok.sum())
+        if count > best_count:
+            best_count = count
+            best_mask = ok
+    if best_mask is None or best_count < MIN_INLIER_PAIRS:
+        raise NoValidTransform(
+            f"best sample has {best_count} inlier pairs, need {MIN_INLIER_PAIRS}"
+        )
+    inliers = [p for p, keep in zip(pairs, best_mask) if keep]
+    src = np.concatenate([q.vertices for q, _ in inliers])
+    dst = np.concatenate([s.vertices for _, s in inliers])
+    return RigidTransform(*scalar_kabsch(src, dst)), inliers
+
+
+def ransac_outcome(fn, pairs, seed, **kwargs):
+    """Bits of the transform, inlier identities and the generator state after."""
+    rng = np.random.default_rng(seed)
+    try:
+        got, inliers = fn(pairs, rng=rng, **kwargs)
+    except NoValidTransform as exc:
+        return ("no transform", str(exc), rng.bit_generator.state)
+    return (got.R.tobytes(), got.t.tobytes(), [id(p) for p in inliers], rng.bit_generator.state)
+
+
+def with_vertices(d: TriangleDescriptor, vertices) -> TriangleDescriptor:
+    return TriangleDescriptor(np.asarray(vertices, dtype=np.float64), d.normals, d.sides, d.frame_id)
+
+
+def degenerate_pairs(rng, n):
+    """Pairs whose query triangle is collinear or repeats a vertex."""
+    pairs = []
+    for i in range(n):
+        q, s = scrambled_pairs(rng, 1)[0]
+        p0, p1, _ = q.vertices
+        third = p0 + 2.5 * (p1 - p0) if i % 3 == 0 else (p1 if i % 3 == 1 else p0)
+        pairs.append((with_vertices(q, [p0, p1, third]), s))
+    return pairs
+
+
+def boundary_pairs(rng, n, t: RigidTransform, tol):
+    """Consistent pairs with one stored vertex moved to tol, within 3e-15 relative."""
+    pairs = []
+    for i in range(n):
+        q, s = planted_pairs(rng, 1, t)[0]
+        offset = rng.normal(size=3)
+        offset *= tol * (1.0 + (i % 7 - 3) * 1e-15) / np.linalg.norm(offset)
+        verts = s.vertices.copy()
+        verts[i % 3] += offset
+        pairs.append((q, with_vertices(s, verts)))
+    return pairs
+
+
+class TestBatchedRansacMatchesScalar:
+    def assert_same(self, pairs, seeds=range(5), **kwargs):
+        for seed in seeds:
+            expected = ransac_outcome(scalar_ransac, pairs, seed, **kwargs)
+            assert ransac_outcome(ransac_transform, pairs, seed, **kwargs) == expected
+        return expected
+
+    def test_planted_and_scrambled(self):
+        rng = np.random.default_rng(20)
+        truth = RigidTransform(random_rotation(rng), rng.uniform(-10, 10, 3))
+        pairs = (
+            planted_pairs(rng, 40, truth)
+            + scrambled_pairs(rng, 120)
+            + boundary_pairs(rng, 30, truth, 0.5)
+        )
+        order = rng.permutation(len(pairs))
+        pairs = [pairs[i] for i in order]
+        outcome = self.assert_same(pairs)
+        assert outcome[0] != "no transform"
+        self.assert_same(pairs, seeds=[7], iterations=37, inlier_tol=0.25)
+        self.assert_same(pairs, seeds=[8], iterations=0)
+        for tol in (0.0, -1.0, np.inf):
+            self.assert_same(pairs, seeds=[9], inlier_tol=tol)
+        # far from the origin the one-gemm distances cannot decide, so every
+        # row takes the exact test
+        far = [
+            (with_vertices(q, q.vertices + 1e6), with_vertices(s, s.vertices - 2e6))
+            for q, s in pairs
+        ]
+        assert self.assert_same(far, seeds=[10])[0] != "no transform"
+
+    def test_degenerate_samples_are_skipped(self):
+        rng = np.random.default_rng(21)
+        truth = RigidTransform(random_rotation(rng), rng.uniform(-10, 10, 3))
+        pairs = planted_pairs(rng, 8, truth) + degenerate_pairs(rng, 30)
+        outcome = self.assert_same(pairs, seeds=range(10))
+        assert outcome[0] != "no transform"
+
+    def test_inlier_counts_exact_at_the_tolerance(self):
+        # vertices land within a few ulps of inlier_tol, where any change in
+        # the arithmetic of the inlier test flips some of them
+        rng = np.random.default_rng(23)
+        tol = 0.5
+        hyps = [RigidTransform(random_rotation(rng), rng.uniform(-30, 30, 3)) for _ in range(20)]
+        src = rng.uniform(-40, 40, size=(3000, 3, 3))
+        dst = np.empty_like(src)
+        for i in range(len(src)):
+            h = hyps[i % len(hyps)]
+            offset = rng.normal(size=(3, 3))
+            offset /= np.linalg.norm(offset, axis=1, keepdims=True)
+            offset *= tol * (1.0 + rng.integers(-4, 5, size=(3, 1)) * 1e-16)
+            dst[i] = src[i] @ h.R.T + h.t + offset
+        R = np.stack([h.R for h in hyps])
+        t = np.stack([h.t for h in hyps])
+        expected = [
+            int(np.all(np.linalg.norm(src @ h.R.T + h.t - dst, axis=2) < tol, axis=1).sum())
+            for h in hyps
+        ]
+        assert 0 < sum(expected) < len(src)
+        assert _count_inliers(src, dst, R, t, tol).tolist() == expected
+
+    def test_all_samples_degenerate(self):
+        rng = np.random.default_rng(22)
+        pairs = degenerate_pairs(rng, 12)
+        outcome = self.assert_same(pairs)
+        assert outcome[:2] == ("no transform", f"best sample has 0 inlier pairs, need {MIN_INLIER_PAIRS}")
 
 
 class TestPlaneOverlap:
