@@ -21,13 +21,12 @@ from .ingest import (
 )
 from .keypoints import KeyPoint, PlaneImage, extract_keypoints, keyframe_keypoints
 from .loop import (
-    LoopResult,
     ScoredCandidate,
     plane_icp,
     plane_overlap,
     ransac_transform,
     score_candidates,
-    verify_loop,
+    select_loop,
 )
 from .pipeline import FrameExtraction, MatchingSession, PipelineConfig, extract_frame
 from .planes import Plane, Voxel, build_voxel_map, grow_planes, is_plane_voxel
@@ -42,7 +41,6 @@ __all__ = [
     "HashKey",
     "Keyframe",
     "KeyPoint",
-    "LoopResult",
     "MatchingSession",
     "PipelineConfig",
     "Plane",
@@ -69,7 +67,7 @@ __all__ = [
     "read_pcd_ascii",
     "read_poses",
     "score_candidates",
+    "select_loop",
     "solve_rigid_svd",
-    "verify_loop",
     "voxel_downsample",
 ]

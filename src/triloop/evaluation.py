@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ConfigError, NoGroundTruth
 from .geometry import RigidTransform, rotation_angle_deg
 from .ingest import Scan, accumulate_keyframe, read_kitti_bin, read_pcd_ascii, read_poses
+from .loop import select_loop
 from .pipeline import MatchingSession, PipelineConfig
 
 DEFAULT_SWEEP_GRID = tuple(round(0.1 * i, 2) for i in range(1, 10))
@@ -140,12 +141,12 @@ def run_sequence(
                 if s.transform is not None
             ],
         )
-        if outcome.loop is not None:
-            loop = outcome.loop
-            truth = anchor_poses[loop.matched_id].inverse().compose(anchor_poses[kf_id])
-            reported = loop.refined if loop.refined is not None else loop.transform
+        loop = outcome.loop
+        if loop is not None:
+            truth = anchor_poses[loop.frame_id].inverse().compose(anchor_poses[kf_id])
+            reported = outcome.refined if outcome.refined is not None else loop.transform
             rot, trans = pose_error(reported, truth)
-            record.detected_id = loop.matched_id
+            record.detected_id = loop.frame_id
             record.overlap = loop.overlap
             record.votes = loop.votes
             record.rot_err_deg = rot
@@ -199,27 +200,15 @@ def _summarize(records: list[EvalRecord], gt: dict[int, list[int]], cfg: Pipelin
     }
 
 
-def _detection_at(record: EvalRecord, sigma_pc: float, mode: str) -> int | None:
-    """The frame the session reports at sigma_pc: in "first" mode the first
-    passing candidate in vote order, otherwise the passing candidate with the
-    highest overlap (the earliest in vote order on ties)."""
-    passing = [cand for cand in record.candidates if cand.overlap >= sigma_pc]
-    if not passing:
-        return None
-    if mode == "first":
-        return passing[0].frame_id
-    return max(passing, key=lambda cand: cand.overlap).frame_id
-
-
 def _classify(
     records: list[EvalRecord], gt: dict[int, list[int]], sigma_pc: float, mode: str
 ):
     tp = fp = fn = 0
     for r in records:
         loops = set(gt.get(r.query_id, ()))
-        detected = _detection_at(r, sigma_pc, mode)
+        detected = select_loop(r.candidates, sigma_pc, mode)
         if detected is not None:
-            if detected in loops:
+            if detected.frame_id in loops:
                 tp += 1
             else:
                 fp += 1

@@ -11,7 +11,9 @@ threshold.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TypeVar
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -37,25 +39,17 @@ MIN_INLIER_PAIRS = 4
 MIN_REFINE_PAIRS = 10
 INLIER_CHUNK = 1 << 18  # (vertex, hypothesis) distances per inlier-count step; bounds temporaries
 
+MODES = ("first", "best")  # loop selection rules, see select_loop
+
 PairList = list[tuple[TriangleDescriptor, TriangleDescriptor]]
-
-
-@dataclass(frozen=True)
-class LoopResult:
-    """Accepted loop with its relative transform (query frame -> matched frame)."""
-
-    query_id: int
-    matched_id: int
-    transform: RigidTransform
-    overlap: float           # fraction of query planes coinciding, in [0, 1]
-    inlier_pairs: int
-    votes: int
-    refined: RigidTransform | None = None
+Scored = TypeVar("Scored")  # ScoredCandidate or a saved CandidateScoreRow
 
 
 @dataclass(frozen=True)
 class ScoredCandidate:
-    """Verification scores for one retrieval candidate (eval re-scoring hook)."""
+    """Verification scores for one retrieval candidate; transform is None when
+    the candidate was not verified (too few votes, no planes, no transform).
+    The accepted loop is the candidate that select_loop returns."""
 
     frame_id: int
     votes: int
@@ -183,7 +177,6 @@ def plane_overlap(
     transform: RigidTransform,
     sigma_n: float = 0.2,
     sigma_d: float = 0.3,
-    tree: cKDTree | None = None,
 ) -> float:
     """Fraction of current planes that coincide with a candidate plane under T.
 
@@ -195,8 +188,7 @@ def plane_overlap(
         raise EmptyPlaneList("plane overlap needs non-empty plane lists")
     cand_centers = np.array([p.center for p in candidate])
     cand_normals = np.array([p.normal for p in candidate])
-    if tree is None:
-        tree = cKDTree(cand_centers)
+    tree = cKDTree(cand_centers)
 
     centers = np.array([p.center for p in current]) @ transform.R.T + transform.t
     normals = np.array([p.normal for p in current]) @ transform.R.T
@@ -245,48 +237,24 @@ def score_candidates(
     return scored
 
 
-def verify_loop(
-    query_id: int,
-    candidates: list[Candidate],
-    current_planes: list[Plane],
-    plane_store: dict[int, list[Plane]],
-    sigma_pc: float = 0.5,
-    sigma_n: float = 0.2,
-    sigma_d: float = 0.3,
-    iterations: int = 100,
-    inlier_tol: float = 0.5,
-    min_votes: int = 5,
-    mode: str = "first",
-    rng: np.random.Generator | None = None,
-) -> LoopResult | None:
-    """Accept the first candidate (vote order) whose plane overlap reaches
-    sigma_pc; mode="best" scores all candidates and keeps the best overlap."""
-    if mode not in ("first", "best"):
-        raise ValueError(f"mode must be 'first' or 'best', got {mode}")
-    rng = np.random.default_rng(0) if rng is None else rng
+def select_loop(scored: Sequence[Scored], sigma_pc: float, mode: str) -> Scored | None:
+    """The accepted loop among verified candidates given in vote order.
 
-    best: LoopResult | None = None
-    for cand in candidates:
-        scored = score_candidates(
-            [cand], current_planes, plane_store,
-            sigma_n=sigma_n, sigma_d=sigma_d, iterations=iterations,
-            inlier_tol=inlier_tol, min_votes=min_votes, rng=rng,
-        )[0]
-        if scored.transform is None or scored.overlap < sigma_pc:
-            continue
-        result = LoopResult(
-            query_id=query_id,
-            matched_id=scored.frame_id,
-            transform=scored.transform,
-            overlap=scored.overlap,
-            inlier_pairs=scored.inlier_pairs,
-            votes=scored.votes,
-        )
-        if mode == "first":
-            return result
-        if best is None or result.overlap > best.overlap:
-            best = result
-    return best
+    "first" accepts the first candidate whose overlap reaches sigma_pc, "best"
+    the passing candidate with the highest overlap (the earliest in vote order
+    on ties). Only the overlap is read, so the CandidateScoreRow records of a
+    replay re-select with the rule the session used. Callers pass only
+    verified candidates (transform is not None): an unverified one scores 0
+    overlap, which would pass at sigma_pc = 0.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {', '.join(MODES)}; got {mode!r}")
+    passing = [cand for cand in scored if cand.overlap >= sigma_pc]
+    if not passing:
+        return None
+    if mode == "first":
+        return passing[0]
+    return max(passing, key=lambda cand: cand.overlap)  # max keeps the first on ties
 
 
 def plane_icp(

@@ -16,9 +16,10 @@ import numpy as np
 from .database import DescriptorDatabase
 from .descriptors import TriangleDescriptor, build_descriptors
 from .errors import ConfigError, EmptyPlaneList, InsufficientOverlap
+from .geometry import RigidTransform
 from .ingest import voxel_downsample
 from .keypoints import KeyPoint, keyframe_keypoints
-from .loop import LoopResult, ScoredCandidate, plane_icp, score_candidates
+from .loop import MODES, ScoredCandidate, plane_icp, score_candidates, select_loop
 from .planes import Plane, build_voxel_map, classify_plane_voxels, grow_planes
 
 
@@ -58,6 +59,10 @@ class PipelineConfig:
     refine_sigma_n: float = 0.02   # tighter pair gates for fine alignment:
     refine_sigma_d: float = 0.10   # only well-matched planes drive the solve
     mode: str = "first"
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ConfigError(f"mode must be one of {', '.join(MODES)}; got {self.mode!r}")
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
@@ -154,12 +159,14 @@ def extract_frame(cloud: np.ndarray, frame_id: int, cfg: PipelineConfig) -> Fram
 
 @dataclass
 class KeyframeOutcome:
-    """What one replayed keyframe produced: extraction, candidate scores,
-    the accepted loop (if any), and per-stage wall times in milliseconds."""
+    """What one replayed keyframe produced: extraction, candidate scores, the
+    accepted loop (if any) with its plane-ICP pose (None when refinement is
+    off or fell back), and per-stage wall times in milliseconds."""
 
     extraction: FrameExtraction
     scored: list[ScoredCandidate]
-    loop: LoopResult | None
+    loop: ScoredCandidate | None
+    refined: RigidTransform | None
     t_extract_ms: float
     t_query_ms: float
     t_verify_ms: float
@@ -199,15 +206,16 @@ class MatchingSession:
             min_votes=cfg.min_votes,
             rng=self.rng,
         )
-        loop = self._select(frame_id, scored)
+        loop = select_loop(
+            [s for s in scored if s.transform is not None], cfg.sigma_pc, cfg.mode
+        )
+        refined = None
         if loop is not None and cfg.refine:
             # sliver planes (crease-contaminated voxels) carry unstable
             # normals; keep only grown regions for the refinement stage
             keep = cfg.refine_min_voxels
             current = [p for p in extraction.planes if len(p.member_cells) >= keep]
-            matched = [
-                p for p in self.plane_store[loop.matched_id] if len(p.member_cells) >= keep
-            ]
+            matched = [p for p in self.plane_store[loop.frame_id] if len(p.member_cells) >= keep]
             try:
                 refined = plane_icp(
                     current,
@@ -215,15 +223,6 @@ class MatchingSession:
                     loop.transform,
                     sigma_n=cfg.refine_sigma_n,
                     sigma_d=cfg.refine_sigma_d,
-                )
-                loop = LoopResult(
-                    query_id=loop.query_id,
-                    matched_id=loop.matched_id,
-                    transform=loop.transform,
-                    overlap=loop.overlap,
-                    inlier_pairs=loop.inlier_pairs,
-                    votes=loop.votes,
-                    refined=refined,
                 )
             except (InsufficientOverlap, EmptyPlaneList):
                 pass
@@ -234,27 +233,8 @@ class MatchingSession:
             extraction=extraction,
             scored=scored,
             loop=loop,
+            refined=refined,
             t_extract_ms=(t1 - t0) * 1e3,
             t_query_ms=(t2 - t1) * 1e3,
             t_verify_ms=(t3 - t2) * 1e3,
         )
-
-    def _select(self, query_id: int, scored: list[ScoredCandidate]) -> LoopResult | None:
-        cfg = self.cfg
-        best: LoopResult | None = None
-        for s in scored:
-            if s.transform is None or s.overlap < cfg.sigma_pc:
-                continue
-            result = LoopResult(
-                query_id=query_id,
-                matched_id=s.frame_id,
-                transform=s.transform,
-                overlap=s.overlap,
-                inlier_pairs=s.inlier_pairs,
-                votes=s.votes,
-            )
-            if cfg.mode == "first":
-                return result
-            if best is None or result.overlap > best.overlap:
-                best = result
-        return best

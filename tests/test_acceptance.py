@@ -20,7 +20,7 @@ from triloop.geometry import (
     rotation_angle_deg,
     solve_rigid_svd,
 )
-from triloop.loop import plane_icp, plane_overlap, verify_loop
+from triloop.loop import plane_icp, plane_overlap, score_candidates, select_loop
 from triloop.pipeline import MatchingSession, PipelineConfig, extract_frame
 from triloop.planes import Plane
 
@@ -119,17 +119,16 @@ def test_criterion_4_planted_loop_world():
     candidates = db.query_candidates(
         extractions[query.id].descriptors, skip_recent=cfg.skip_recent
     )
-    loop = verify_loop(
-        query.id,
+    scored = score_candidates(
         candidates,
         extractions[query.id].planes,
         plane_store,
-        sigma_pc=cfg.sigma_pc,
         rng=np.random.default_rng(cfg.seed),
     )
+    loop = select_loop([s for s in scored if s.transform is not None], cfg.sigma_pc, cfg.mode)
     assert loop is not None, "revisit with 180 degree heading change not detected"
     truth = (
-        keyframes[loop.matched_id].anchor_pose.inverse().compose(query.anchor_pose)
+        keyframes[loop.frame_id].anchor_pose.inverse().compose(query.anchor_pose)
     )
     rot0, trans0 = pose_error(loop.transform, truth)
     assert trans0 <= 0.1
@@ -140,7 +139,7 @@ def test_criterion_4_planted_loop_world():
         if len(p.member_cells) >= cfg.refine_min_voxels
     ]
     matched = [
-        p for p in plane_store[loop.matched_id]
+        p for p in plane_store[loop.frame_id]
         if len(p.member_cells) >= cfg.refine_min_voxels
     ]
     refined = plane_icp(
@@ -152,7 +151,7 @@ def test_criterion_4_planted_loop_world():
     assert trans1 <= trans0 + 1e-6
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
-    print(f"\nACCEPTANCE 4 PASS: loop {query.id}->{loop.matched_id} overlap "
+    print(f"\nACCEPTANCE 4 PASS: loop {query.id}->{loop.frame_id} overlap "
           f"{loop.overlap:.2f}; transform error {trans0 * 1e3:.2f}mm/{rot0:.4f}deg; "
           f"refined {trans1 * 1e3:.2f}mm/{rot1:.4f}deg; {elapsed:.1f}s < 10s")
 
@@ -202,7 +201,7 @@ def test_criterion_5_sigma_pc_monotonicity_and_tradeoff():
         if loop is None:
             assert kf.id not in planted, f"planted loop at kf{kf.id} missed"
             continue
-        if loop.matched_id in gt[kf.id]:
+        if loop.frame_id in gt[kf.id]:
             tp += 1
         else:
             fp += 1

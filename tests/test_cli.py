@@ -5,6 +5,7 @@ import pytest
 
 from triloop.cli import main
 from triloop.evaluation import read_records_csv
+from triloop.loop import select_loop
 from triloop.pipeline import PipelineConfig
 from triloop.synthetic import write_sequence, yaw_pose
 
@@ -51,6 +52,17 @@ class TestRun:
         for r in detections:
             assert r.trans_err_m < 0.1
             assert r.rot_err_deg < 0.5
+
+    def test_detections_reselect_from_saved_candidates(self, loop_run):
+        # the online detection and the offline re-score use one rule,
+        # also after the CSV round trip of the candidate overlaps
+        _, _, _, cfg_path, out_dir = loop_run
+        cfg = PipelineConfig.from_file(cfg_path)
+        records = read_records_csv(out_dir / "records.csv")
+        assert any(r.detected_id is not None for r in records)
+        for r in records:
+            loop = select_loop(r.candidates, cfg.sigma_pc, cfg.mode)
+            assert r.detected_id == (None if loop is None else loop.frame_id), r.query_id
 
     def test_outputs_complete(self, loop_run):
         _, _, _, _, out_dir = loop_run
@@ -180,6 +192,19 @@ class TestExitCodes:
              "--poses", str(pose_file), "--out", str(tmp_path / "out")]
         )
         assert code == 2
+
+    def test_unknown_mode_is_config_error(self, tmp_path, world):
+        cfg_path = tmp_path / "run.cfg"
+        write_config(cfg_path)
+        cfg_path.write_text(cfg_path.read_text() + "mode = First\n")  # the last line wins
+        poses = [yaw_pose(6.0 + i, 9.0, 1.5, 0.0) for i in range(3)]
+        scan_dir, pose_file = write_sequence(tmp_path, world, poses)
+        code = main(
+            ["run", "--config", str(cfg_path), "--scans", str(scan_dir),
+             "--poses", str(pose_file), "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_pose_count_mismatch_is_config_error(self, tmp_path, world):
         poses = [yaw_pose(6.0 + i, 9.0, 1.5, 0.0) for i in range(3)]

@@ -16,6 +16,7 @@ from triloop.evaluation import (
     write_records_csv,
 )
 from triloop.geometry import RigidTransform, random_rotation, rotation_about_axis
+from triloop.loop import select_loop
 from triloop.pipeline import PipelineConfig
 
 
@@ -135,6 +136,21 @@ class TestPrSweep:
             assert (row["tp"], row["fp"]) == (1, 0)  # 3: best overlap, first on ties
         [row] = pr_sweep([rec], gt, grid=[0.99], mode="best")
         assert (row["tp"], row["fp"], row["fn"]) == (0, 0, 1)
+        assert select_loop(rec.candidates, 0.5, "first").frame_id == 7
+        assert select_loop(rec.candidates, 0.5, "best").frame_id == 3  # tie with 5
+        assert select_loop(rec.candidates, 0.99, "best") is None
+        tied = [CandidateScoreRow(f, 9, 0.6) for f in (4, 2, 8)]
+        for mode in ("first", "best"):
+            assert select_loop(tied, 0.0, mode).frame_id == 4  # earliest in vote order
+            assert select_loop([], 0.0, mode) is None
+
+    def test_unknown_mode_rejected(self):
+        rec = record(10, [(7, 50, 0.55), (3, 40, 0.95)])
+        for mode in ("bogus", "First"):
+            with pytest.raises(ValueError, match="mode"):
+                pr_sweep([rec], {10: [3]}, grid=[0.5], mode=mode)
+            with pytest.raises(ValueError, match="mode"):
+                select_loop(rec.candidates, 0.5, mode)
 
 
 @pytest.mark.parametrize("mode", ["first", "best"])

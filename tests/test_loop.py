@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from triloop import pipeline
 from triloop.database import DescriptorDatabase
 from triloop.descriptors import TriangleDescriptor
 from triloop.errors import EmptyPlaneList, InsufficientOverlap, NoValidTransform
@@ -17,8 +18,10 @@ from triloop.loop import (
     plane_icp,
     plane_overlap,
     ransac_transform,
-    verify_loop,
+    score_candidates,
+    select_loop,
 )
+from triloop.pipeline import FrameExtraction, MatchingSession, PipelineConfig
 from triloop.planes import Plane
 
 from test_database import synth_descriptor, transformed
@@ -316,28 +319,41 @@ def build_verification_scene(rng, n_desc=25, n_planes=60):
     return db, query, planes
 
 
+def select_verified(candidates, current_planes, plane_store, sigma_pc, mode="first", **kwargs):
+    """select_loop over the verified score_candidates results, as the session runs them."""
+    scored = score_candidates(
+        candidates, current_planes, plane_store, rng=np.random.default_rng(0), **kwargs
+    )
+    return select_loop([s for s in scored if s.transform is not None], sigma_pc, mode)
+
+
 class TestVerifyLoop:
     def test_exact_copy_detected_with_identity_transform(self):
         rng = np.random.default_rng(10)
         db, query, planes = build_verification_scene(rng)
-        candidates = db.query_candidates(query, skip_recent=0)
-        loop = verify_loop(
-            1, candidates, planes, {0: planes}, sigma_pc=0.5, rng=np.random.default_rng(0)
-        )
-        assert loop is not None
-        assert loop.matched_id == 0
-        assert loop.overlap == 1.0
-        assert np.linalg.norm(loop.transform.R - np.eye(3)) < 1e-9
-        assert np.linalg.norm(loop.transform.t) < 1e-9
+        store = {0: planes}
+        for copies in (1, 2):
+            if copies == 2:  # an identical second frame ties at overlap 1.0
+                db.insert_frame(2, [
+                    TriangleDescriptor(d.vertices, d.normals, d.sides, frame_id=2) for d in query
+                ])
+                store[2] = planes
+            candidates = db.query_candidates(query, skip_recent=0)
+            assert [c.frame_id for c in candidates] == sorted(store)
+            for mode in ("first", "best"):
+                loop = select_verified(candidates, planes, store, sigma_pc=0.5, mode=mode)
+                assert loop is not None
+                assert loop.frame_id == 0  # first in vote order, also on a best-mode tie
+                assert loop.overlap == 1.0
+                assert np.linalg.norm(loop.transform.R - np.eye(3)) < 1e-9
+                assert np.linalg.norm(loop.transform.t) < 1e-9
 
     def test_no_geometry_match_returns_none(self):
         rng = np.random.default_rng(11)
         db, query, planes = build_verification_scene(rng)
         unrelated = [place_randomly(rng, synth_descriptor(rng, 1)) for _ in range(25)]
         candidates = db.query_candidates(unrelated, skip_recent=0)
-        loop = verify_loop(
-            1, candidates, planes, {0: planes}, sigma_pc=0.5, rng=np.random.default_rng(0)
-        )
+        loop = select_verified(candidates, planes, {0: planes}, sigma_pc=0.5)
         assert loop is None
 
     def test_acceptance_count_monotone_in_sigma_pc(self):
@@ -352,23 +368,30 @@ class TestVerifyLoop:
             accepted = 0
             for db, query, planes, kept in scenes:
                 candidates = db.query_candidates(query, skip_recent=0)
-                loop = verify_loop(
-                    1, candidates, planes, {0: kept}, sigma_pc=float(sigma),
-                    rng=np.random.default_rng(0),
-                )
+                loop = select_verified(candidates, planes, {0: kept}, sigma_pc=float(sigma))
                 accepted += loop is not None
             counts.append(accepted)
         assert counts == sorted(counts, reverse=True)
 
-    def test_min_votes_blocks_sparse_candidates(self):
+    def test_min_votes_blocks_sparse_candidates(self, monkeypatch):
         rng = np.random.default_rng(13)
         db, query, planes = build_verification_scene(rng, n_desc=4)
         candidates = db.query_candidates(query, skip_recent=0)
-        loop = verify_loop(
-            1, candidates, planes, {0: planes}, sigma_pc=0.5, min_votes=5,
-            rng=np.random.default_rng(0),
+        for sigma_pc in (0.5, 0.0):  # unverified scores overlap 0, never selected
+            loop = select_verified(candidates, planes, {0: planes}, sigma_pc=sigma_pc, min_votes=5)
+            assert loop is None
+
+        # the session selects among verified candidates only
+        session = MatchingSession(PipelineConfig(sigma_pc=0.0, skip_recent=0, min_votes=5))
+        session.db, session.plane_store = db, {0: planes}
+        monkeypatch.setattr(
+            pipeline, "extract_frame",
+            lambda cloud, frame_id, cfg: FrameExtraction(frame_id, planes, [], query),
         )
-        assert loop is None
+        outcome = session.process_keyframe(1, np.zeros((0, 3)))
+        assert [(s.frame_id, s.transform, s.overlap) for s in outcome.scored] == [(0, None, 0.0)]
+        assert outcome.loop is None
+        assert outcome.refined is None
 
     def test_output_transform_maps_inlier_triangles_within_tolerance(self):
         rng = np.random.default_rng(18)
@@ -390,12 +413,11 @@ class TestVerifyLoop:
         db = DescriptorDatabase()
         db.insert_frame(0, stored)
         candidates = db.query_candidates(query, skip_recent=0)
-        loop = verify_loop(
-            1, candidates, planes, {0: transform_planes(planes, truth)},
-            sigma_pc=0.5, inlier_tol=0.5, rng=np.random.default_rng(0),
+        loop = select_verified(
+            candidates, planes, {0: transform_planes(planes, truth)}, sigma_pc=0.5, inlier_tol=0.5
         )
         assert loop is not None
-        [cand] = [c for c in candidates if c.frame_id == loop.matched_id]
+        [cand] = [c for c in candidates if c.frame_id == loop.frame_id]
         mapped_within_tol = 0
         for q, s in cand.pairs:
             moved = q.vertices @ loop.transform.R.T + loop.transform.t

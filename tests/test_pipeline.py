@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import triloop
 from triloop.errors import ConfigError
 from triloop.pipeline import MatchingSession, PipelineConfig, extract_frame
 
@@ -53,6 +54,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             PipelineConfig.from_file(path)
 
+    def test_unknown_mode_rejected(self, tmp_path):
+        for mode in ("First", "bogus", ""):  # case matters: no silent fallback to best
+            with pytest.raises(ConfigError):
+                PipelineConfig(mode=mode)
+        path = tmp_path / "run.cfg"
+        path.write_text("mode = First\n")
+        with pytest.raises(ConfigError):
+            PipelineConfig.from_file(path)
+        assert PipelineConfig(mode="best").mode == "best"
+
     def test_missing_equals_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("sigma_pc 0.5\n")
@@ -92,7 +103,7 @@ class TestMatchingSession:
         kf_by_id = {kf.id: kf for kf in keyframes}
         for qid, loop in loops.items():
             truth = (
-                kf_by_id[loop.matched_id]
+                kf_by_id[loop.frame_id]
                 .anchor_pose.inverse()
                 .compose(kf_by_id[qid].anchor_pose)
             )
@@ -107,3 +118,9 @@ class TestMatchingSession:
         session.add_frame(0, keyframes[0].cloud)
         with pytest.raises(DuplicateFrame):
             session.add_frame(0, keyframes[0].cloud)
+
+
+def test_every_export_resolves():
+    assert len(set(triloop.__all__)) == len(triloop.__all__)
+    missing = [name for name in triloop.__all__ if not hasattr(triloop, name)]
+    assert missing == []
