@@ -29,7 +29,7 @@ from .loop import (
     select_loop,
 )
 from .pipeline import FrameExtraction, MatchingSession, PipelineConfig, extract_frame
-from .planes import Plane, Voxel, build_voxel_map, grow_planes, is_plane_voxel
+from .planes import Plane, VoxelMap, build_voxel_map, grow_planes, is_plane_voxel
 
 __version__ = "0.1.0"
 
@@ -50,7 +50,7 @@ __all__ = [
     "ScoredCandidate",
     "TriangleDescriptor",
     "TriloopError",
-    "Voxel",
+    "VoxelMap",
     "accumulate_keyframe",
     "build_descriptors",
     "build_voxel_map",

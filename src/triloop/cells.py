@@ -1,0 +1,52 @@
+"""Integer grid cells of a point cloud, packed into sortable int64 keys.
+
+A point's cell is floor(p / size) per axis. Packing stores a cell as its
+offset from the cloud's minimum cell, row-major over the cloud's cell box, so
+ascending key order is ascending (ix, iy, iz) order and grouping by cell is a
+1-D sort. Cells that do not fit an int64, or a box too large for the packed
+key, raise CellOutOfRange instead of wrapping around.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .errors import CellOutOfRange
+
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def floor_cells(points: np.ndarray, size: float) -> np.ndarray:
+    """(N, 3) int64 floor cells of (N, 3) points on a grid of edge `size`."""
+    scaled = np.floor(points / size)
+    if len(scaled) and not (
+        np.isfinite(scaled).all() and scaled.min() >= -2.0**63 and scaled.max() < 2.0**63
+    ):
+        raise CellOutOfRange(
+            f"points span cells beyond the int64 range at cell size {size} "
+            f"(coordinates from {np.min(points):.6g} to {np.max(points):.6g})"
+        )
+    return scaled.astype(np.int64)
+
+
+def cell_box(cells: np.ndarray) -> tuple[np.ndarray, tuple[int, int, int]]:
+    """Minimum cell and (nx, ny, nz) extent of a non-empty cell set."""
+    lo = cells.min(axis=0)
+    hi = cells.max(axis=0)
+    dims = tuple(int(h) - int(l) + 1 for l, h in zip(lo, hi))
+    if dims[0] * dims[1] * dims[2] > _INT64_MAX:
+        raise CellOutOfRange(
+            f"cell box {dims[0]} x {dims[1]} x {dims[2]} has too many cells for an int64 key"
+        )
+    return lo, dims
+
+
+def pack_offsets(rel: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
+    """Row-major int64 keys of (N, 3) offsets with 0 <= rel < dims per axis."""
+    return (rel[:, 0] * dims[1] + rel[:, 1]) * dims[2] + rel[:, 2]
+
+
+def pack_cells(cells: np.ndarray) -> np.ndarray:
+    """Packed int64 key of each cell of a non-empty (N, 3) cell array."""
+    lo, dims = cell_box(cells)
+    return pack_offsets(cells - lo, dims)

@@ -3,7 +3,8 @@
     triloop run   --config run.cfg --scans dir/ --poses poses.txt --out results/
     triloop sweep --records results/records.csv --gt results/gt.csv --out pr.csv
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error.
+Exit codes: 0 success, 2 configuration error, 3 I/O error (unreadable,
+truncated, empty or out-of-range scan input).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import sys
 
 from .errors import (
+    CellOutOfRange,
     ConfigError,
     EmptyInput,
     MalformedRecord,
@@ -112,7 +114,9 @@ def main(argv=None) -> int:
     except (ConfigError, NoGroundTruth) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OSError, MalformedRecord, UnsupportedFormat, EmptyInput, NonFiniteInput) as exc:
+    except (
+        OSError, MalformedRecord, UnsupportedFormat, EmptyInput, NonFiniteInput, CellOutOfRange
+    ) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except TriloopError as exc:

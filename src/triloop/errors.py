@@ -13,6 +13,10 @@ class NonFiniteInput(TriloopError, ValueError):
     """Input points contain NaN or infinite coordinates."""
 
 
+class CellOutOfRange(TriloopError, ValueError):
+    """Point coordinates give grid cells that do not fit a 64-bit cell key."""
+
+
 class DegenerateInput(TriloopError, ValueError):
     """Point configuration too degenerate for the requested solve."""
 

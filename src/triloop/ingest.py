@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .cells import floor_cells, pack_cells
 from .errors import EmptyInput, MalformedRecord, NonFiniteInput, NonPositiveLeaf, UnsupportedFormat
 from .geometry import RigidTransform, nearest_rotation, rotation_from_quaternion
 
@@ -163,16 +164,16 @@ def voxel_downsample(cloud, leaf: float) -> np.ndarray:
     """Keep one centroid per occupied leaf-sized cubic cell.
 
     Output rows are sorted by (ix, iy, iz) cell index, so the result is
-    deterministic regardless of input order.
+    deterministic regardless of input order. Each centroid is summed in input
+    order. Raises CellOutOfRange when a cell does not fit an int64 key.
     """
     if leaf <= 0:
         raise NonPositiveLeaf(f"leaf must be > 0, got {leaf}")
     pts = np.asarray(cloud, dtype=np.float64)
     if len(pts) == 0:
         raise EmptyInput("cannot downsample an empty cloud")
-    cells = np.floor(pts / leaf).astype(np.int64)
-    uniq, inverse = np.unique(cells, axis=0, return_inverse=True)
-    sums = np.zeros((len(uniq), 3))
-    np.add.at(sums, inverse, pts)
-    counts = np.bincount(inverse, minlength=len(uniq)).astype(np.float64)
+    uniq, inverse = np.unique(pack_cells(floor_cells(pts, leaf)), return_inverse=True)
+    n = len(uniq)
+    sums = np.stack([np.bincount(inverse, weights=pts[:, a], minlength=n) for a in range(3)], axis=1)
+    counts = np.bincount(inverse, minlength=n)
     return sums / counts[:, None]

@@ -4,15 +4,19 @@ A voxel is a plane candidate when the smallest covariance eigenvalue is below
 sigma1 and the middle one above sigma2 (thin and extended). Planes grow
 breadth-first from a seed voxel; occupied neighbors that refuse to merge are
 the plane's boundary voxels and later seed key-point extraction.
+
+Voxels are held as columns (VoxelMap), one row per occupied cell in
+ascending (ix, iy, iz) order; cells are found by binary search on their
+packed int64 keys.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cells import cell_box, floor_cells, pack_cells, pack_offsets
 from .errors import EmptyInput, NonPositiveLeaf
 
 MIN_VOXEL_POINTS = 10  # covariance of fewer points is too unstable to classify
@@ -30,22 +34,115 @@ CUBE_NEIGHBORS = tuple(
 
 Cell = tuple[int, int, int]
 
+# Distinct entries of a symmetric 3x3 matrix.
+_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
-@dataclass
-class Voxel:
-    """Spatial hash cell with point statistics and an optional plane fit."""
 
-    cell: Cell
-    points: np.ndarray          # (n, 3)
-    mean: np.ndarray            # (3,)
-    covariance: np.ndarray      # (3, 3), population normalization (1/N)
-    eigenvalues: np.ndarray | None = None  # descending (l1 >= l2 >= l3)
-    normal: np.ndarray | None = None       # unit eigenvector of l3, sign-canonical
-    is_plane: bool = False
+@dataclass(eq=False)
+class VoxelMap:
+    """Voxels of one cloud as columns, one row per occupied cell.
 
-    @property
-    def count(self) -> int:
-        return len(self.points)
+    Rows are in ascending (ix, iy, iz) cell order. Voxels with fewer than
+    MIN_VOXEL_POINTS points have NaN eigenvalues and normals and never
+    classify as planes. len() is the voxel count.
+    """
+
+    cells: np.ndarray        # (V, 3) int64, ascending
+    counts: np.ndarray       # (V,) points per voxel
+    means: np.ndarray        # (V, 3)
+    covariances: np.ndarray  # (V, 3, 3), population normalization (1/N)
+    eigenvalues: np.ndarray  # (V, 3) descending (l1 >= l2 >= l3)
+    normals: np.ndarray      # (V, 3) unit eigenvector of l3, sign-canonical
+    offsets: np.ndarray      # (V + 1,) voxel i holds points[offsets[i]:offsets[i + 1]]
+    points: np.ndarray       # (N, 3) grouped by voxel, input order within one
+    is_plane: np.ndarray | None = None  # (V,) bool, set by classify_plane_voxels
+    keys: np.ndarray = field(init=False)  # (V,) packed cell keys, ascending
+
+    def __post_init__(self):
+        self._lo, self._dims = cell_box(self.cells)
+        self._hi = self.cells.max(axis=0)
+        self.keys = pack_offsets(self.cells - self._lo, self._dims)
+        if self.is_plane is None:
+            self.is_plane = np.zeros(len(self.cells), dtype=bool)
+
+    @classmethod
+    def from_points(cls, points: np.ndarray, cells: np.ndarray) -> "VoxelMap":
+        """Voxel statistics of (N, 3) points binned into the given (N, 3) cells.
+
+        Moments are summed in input order (np.bincount); the covariance is
+        two-pass, centered on each voxel's mean, to avoid cancellation far
+        from the origin.
+        """
+        keys, inverse = np.unique(pack_cells(cells), return_inverse=True)
+        n = len(keys)
+        counts = np.bincount(inverse, minlength=n)
+        sums = np.stack(
+            [np.bincount(inverse, weights=points[:, a], minlength=n) for a in range(3)], axis=1
+        )
+        means = sums / counts[:, None]
+
+        centered = points - means[inverse]
+        cov_sums = np.empty((n, 3, 3))
+        for i, j in _UPPER:
+            cov_sums[:, i, j] = cov_sums[:, j, i] = np.bincount(
+                inverse, weights=centered[:, i] * centered[:, j], minlength=n
+            )
+        covs = cov_sums / counts[:, None, None]
+
+        eligible = counts >= MIN_VOXEL_POINTS
+        eigvals = np.full((n, 3), np.nan)
+        normals = np.full((n, 3), np.nan)
+        if np.any(eligible):
+            w, v = np.linalg.eigh(covs[eligible])  # ascending eigenvalues
+            eigvals[eligible] = w[:, ::-1]
+            normals[eligible] = canonical_normals(v[:, :, 0])
+
+        order = np.argsort(inverse, kind="stable")
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        return cls(
+            cells=cells[order[offsets[:-1]]],
+            counts=counts,
+            means=means,
+            covariances=covs,
+            eigenvalues=eigvals,
+            normals=normals,
+            offsets=offsets,
+            points=points[order],
+        )
+
+    def __len__(self) -> int:
+        return len(self.cells)
+
+    def lookup(self, cells) -> np.ndarray:
+        """Row of each (M, 3) cell, -1 where the cell holds no voxel."""
+        cells = np.asarray(cells, dtype=np.int64).reshape(-1, 3)
+        rows = np.full(len(cells), -1, dtype=np.int64)
+        inside = ((cells >= self._lo) & (cells <= self._hi)).all(axis=1)
+        rows[inside] = self._find(cells[inside] - self._lo)
+        return rows
+
+    def neighbors(self, offsets) -> np.ndarray:
+        """(V, K) row of the voxel at each cell + offset, -1 where empty."""
+        rel = self.cells - self._lo
+        table = np.full((len(self), len(offsets)), -1, dtype=np.int64)
+        for k, off in enumerate(offsets):
+            moved = rel + np.asarray(off, dtype=np.int64)
+            inside = ((moved >= 0) & (moved < self._dims)).all(axis=1)
+            table[inside, k] = self._find(moved[inside])
+        return table
+
+    def points_of(self, rows) -> np.ndarray:
+        """Points of the given voxel rows, concatenated in row order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.offsets[rows]
+        lengths = self.offsets[rows + 1] - starts
+        shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        return self.points[np.arange(len(shift)) + shift]
+
+    def _find(self, rel: np.ndarray) -> np.ndarray:
+        keys = pack_offsets(rel, self._dims)
+        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        return np.where(self.keys[pos] == keys, pos, -1)
 
 
 @dataclass
@@ -60,90 +157,48 @@ class Plane:
     point_count: int = 0
 
 
+def canonical_normals(normals: np.ndarray) -> np.ndarray:
+    """Flip each row of an (M, 3) array of eigenvectors so its
+    largest-magnitude component is positive."""
+    dominant = normals[np.arange(len(normals)), np.argmax(np.abs(normals), axis=1)]
+    return np.where((dominant < 0)[:, None], -normals, normals)
+
+
 def canonical_normal(n: np.ndarray) -> np.ndarray:
-    """Flip an eigenvector so its largest-magnitude component is positive."""
-    n = np.asarray(n, dtype=np.float64)
-    if n[np.argmax(np.abs(n))] < 0:
-        return -n
-    return n
+    """canonical_normals for one eigenvector."""
+    return canonical_normals(np.asarray(n, dtype=np.float64).reshape(1, 3))[0]
 
 
-def build_voxel_map(cloud, voxel_size: float) -> dict[Cell, Voxel]:
+def build_voxel_map(cloud, voxel_size: float) -> VoxelMap:
     """Bin a cloud into cubic voxels with per-voxel mean/covariance/eigen stats.
 
     Voxels with fewer than MIN_VOXEL_POINTS points keep their moments but skip
-    the eigendecomposition and can never classify as planes.
+    the eigendecomposition and can never classify as planes. Raises
+    CellOutOfRange when a cell does not fit an int64 key.
     """
     if voxel_size <= 0:
         raise NonPositiveLeaf(f"voxel_size must be > 0, got {voxel_size}")
     pts = np.asarray(cloud, dtype=np.float64)
     if len(pts) == 0:
         raise EmptyInput("cannot voxelize an empty cloud")
-
-    cells = np.floor(pts / voxel_size).astype(np.int64)
-    uniq, inverse = np.unique(cells, axis=0, return_inverse=True)
-    counts = np.bincount(inverse, minlength=len(uniq))
-
-    sums = np.zeros((len(uniq), 3))
-    np.add.at(sums, inverse, pts)
-    means = sums / counts[:, None]
-
-    # Two-pass covariance avoids cancellation for voxels far from the origin.
-    centered = pts - means[inverse]
-    cov_sums = np.zeros((len(uniq), 3, 3))
-    np.add.at(cov_sums, inverse, centered[:, :, None] * centered[:, None, :])
-    covs = cov_sums / counts[:, None, None]
-
-    eligible = counts >= MIN_VOXEL_POINTS
-    eigvals = np.full((len(uniq), 3), np.nan)
-    eigvecs = np.full((len(uniq), 3, 3), np.nan)
-    if np.any(eligible):
-        w, v = np.linalg.eigh(covs[eligible])  # ascending eigenvalues
-        eigvals[eligible] = w
-        eigvecs[eligible] = v
-
-    order = np.argsort(inverse, kind="stable")
-    splits = np.cumsum(counts)[:-1]
-    grouped = np.split(pts[order], splits)
-
-    voxmap: dict[Cell, Voxel] = {}
-    for i, cell in enumerate(map(tuple, uniq.tolist())):
-        if eligible[i]:
-            vals = eigvals[i][::-1].copy()  # descending: l1 >= l2 >= l3
-            normal = canonical_normal(eigvecs[i][:, 0])
-        else:
-            vals = None
-            normal = None
-        voxmap[cell] = Voxel(
-            cell=cell,
-            points=grouped[i],
-            mean=means[i],
-            covariance=covs[i],
-            eigenvalues=vals,
-            normal=normal,
-        )
-    return voxmap
+    return VoxelMap.from_points(pts, floor_cells(pts, voxel_size))
 
 
-def is_plane_voxel(voxel: Voxel, sigma1: float, sigma2: float) -> bool:
-    """Eigenvalue plane test: l3 < sigma1 and l2 > sigma2."""
-    if voxel.eigenvalues is None:
-        return False
-    l1, l2, l3 = voxel.eigenvalues
-    return bool(l3 < sigma1 and l2 > sigma2)
+def is_plane_voxel(eigenvalues, sigma1: float, sigma2: float) -> np.ndarray:
+    """Eigenvalue plane test on (..., 3) descending eigenvalues: l3 < sigma1
+    and l2 > sigma2. NaN eigenvalues (too few points) never pass."""
+    ev = np.asarray(eigenvalues, dtype=np.float64)
+    return (ev[..., 2] < sigma1) & (ev[..., 1] > sigma2)
 
 
-def classify_plane_voxels(voxmap: dict[Cell, Voxel], sigma1: float, sigma2: float) -> int:
-    """Set is_plane on every voxel, returning the number of plane voxels."""
-    n = 0
-    for voxel in voxmap.values():
-        voxel.is_plane = is_plane_voxel(voxel, sigma1, sigma2)
-        n += voxel.is_plane
-    return n
+def classify_plane_voxels(voxmap: VoxelMap, sigma1: float, sigma2: float) -> int:
+    """Set the is_plane column, returning the number of plane voxels."""
+    voxmap.is_plane = is_plane_voxel(voxmap.eigenvalues, sigma1, sigma2)
+    return int(np.count_nonzero(voxmap.is_plane))
 
 
 def grow_planes(
-    voxmap: dict[Cell, Voxel],
+    voxmap: VoxelMap,
     normal_merge_tol: float = 0.02,
     dist_merge_tol: float = 0.2,
     connectivity: int = 6,
@@ -153,8 +208,8 @@ def grow_planes(
     A neighbor joins when its normal and the seed normal agree within
     normal_merge_tol (|dot| > 1 - tol) and its mean lies within dist_merge_tol
     of the seed plane. Occupied neighbors that do not join are recorded as
-    boundary voxels of the growing plane. Seeds are visited in ascending cell
-    order so plane ids are deterministic.
+    boundary voxels of the growing plane, in the order the search meets them.
+    Seeds are visited in ascending cell order so plane ids are deterministic.
     """
     if connectivity == 6:
         offsets = FACE_NEIGHBORS
@@ -163,57 +218,81 @@ def grow_planes(
     else:
         raise ValueError(f"connectivity must be 6 or 26, got {connectivity}")
 
-    assigned: dict[Cell, int] = {}
-    planes: list[Plane] = []
+    table = voxmap.neighbors(offsets).tolist()
+    is_plane = voxmap.is_plane.tolist()
+    normals = list(voxmap.normals)  # row views for the scalar merge test
+    means = list(voxmap.means)
+    assigned = [-1] * len(voxmap)
+    regions: list[tuple[list[int], list[int]]] = []
 
-    for cell in sorted(voxmap):
-        seed = voxmap[cell]
-        if not seed.is_plane or cell in assigned:
+    for seed in np.flatnonzero(voxmap.is_plane).tolist():
+        if assigned[seed] >= 0:
             continue
-
-        plane = Plane(id=len(planes), center=np.zeros(3), normal=seed.normal.copy())
-        boundary: list[Cell] = []
-        boundary_seen: set[Cell] = set()
-        # merged first/second moments around the seed mean (conditioning)
-        origin = seed.mean
-        weighted = np.zeros(3)
-        second = np.zeros((3, 3))
-        total = 0
-
-        frontier = deque([cell])
-        assigned[cell] = plane.id
-        while frontier:
-            current = frontier.popleft()
-            voxel = voxmap[current]
-            plane.member_cells.append(current)
-            shifted = voxel.mean - origin
-            weighted += shifted * voxel.count
-            second += voxel.count * (voxel.covariance + np.outer(shifted, shifted))
-            total += voxel.count
-            for off in offsets:
-                ncell = (current[0] + off[0], current[1] + off[1], current[2] + off[2])
-                neighbor = voxmap.get(ncell)
-                if neighbor is None or assigned.get(ncell) == plane.id:
+        plane_id = len(regions)
+        seed_normal, seed_mean = normals[seed], means[seed]
+        members = [seed]
+        boundary: list[int] = []
+        boundary_seen: set[int] = set()
+        assigned[seed] = plane_id
+        for current in members:  # appended to while walked: a FIFO queue
+            for nb in table[current]:
+                if nb < 0 or assigned[nb] == plane_id:
                     continue
-                if neighbor.is_plane and ncell not in assigned and _merges(seed, neighbor, normal_merge_tol, dist_merge_tol):
-                    assigned[ncell] = plane.id
-                    frontier.append(ncell)
-                elif ncell not in boundary_seen:
-                    boundary_seen.add(ncell)
-                    boundary.append(ncell)
-
-        mean = weighted / total
-        merged_cov = second / total - np.outer(mean, mean)
-        _, vecs = np.linalg.eigh(merged_cov)
-        plane.center = origin + mean
-        plane.normal = canonical_normal(vecs[:, 0])
-        plane.point_count = total
-        plane.boundary_cells = boundary
-        planes.append(plane)
-    return planes
+                if (
+                    is_plane[nb]
+                    and assigned[nb] < 0
+                    and _merges(seed_normal, seed_mean, normals[nb], means[nb],
+                                normal_merge_tol, dist_merge_tol)
+                ):
+                    assigned[nb] = plane_id
+                    members.append(nb)
+                elif nb not in boundary_seen:
+                    boundary_seen.add(nb)
+                    boundary.append(nb)
+        regions.append((members, boundary))
+    return _fit_planes(voxmap, regions)
 
 
-def _merges(seed: Voxel, neighbor: Voxel, normal_tol: float, dist_tol: float) -> bool:
-    if abs(float(seed.normal @ neighbor.normal)) <= 1.0 - normal_tol:
+def _merges(seed_normal, seed_mean, normal, mean, normal_tol: float, dist_tol: float) -> bool:
+    if abs(float(seed_normal @ normal)) <= 1.0 - normal_tol:
         return False
-    return abs(float(seed.normal @ (neighbor.mean - seed.mean))) < dist_tol
+    return abs(float(seed_normal @ (mean - seed_mean))) < dist_tol
+
+
+def _fit_planes(voxmap: VoxelMap, regions: list[tuple[list[int], list[int]]]) -> list[Plane]:
+    """Fit one plane to each region's merged voxel moments."""
+    if not regions:
+        return []
+    rows = np.concatenate([members for members, _ in regions])
+    region = np.repeat(np.arange(len(regions)), [len(members) for members, _ in regions])
+    n = len(regions)
+    counts = voxmap.counts[rows]
+    # moments around the seed mean (conditioning); np.bincount sums each
+    # region from zero in member order, as a running += would
+    origin = voxmap.means[[members[0] for members, _ in regions]]
+    shifted = voxmap.means[rows] - origin[region]
+    weighted = np.stack(
+        [np.bincount(region, weights=shifted[:, a] * counts, minlength=n) for a in range(3)],
+        axis=1,
+    )
+    second = np.empty((n, 3, 3))
+    for i, j in _UPPER:
+        terms = counts * (voxmap.covariances[rows, i, j] + shifted[:, i] * shifted[:, j])
+        second[:, i, j] = second[:, j, i] = np.bincount(region, weights=terms, minlength=n)
+    totals = np.bincount(region, weights=counts, minlength=n).astype(np.int64)
+    mean = weighted / totals[:, None]
+    merged_cov = second / totals[:, None, None] - mean[:, :, None] * mean[:, None, :]
+    _, vecs = np.linalg.eigh(merged_cov)
+    normals = canonical_normals(vecs[:, :, 0])
+    centers = origin + mean
+    return [
+        Plane(
+            id=i,
+            center=centers[i],
+            normal=normals[i],
+            member_cells=list(map(tuple, voxmap.cells[members].tolist())),
+            boundary_cells=list(map(tuple, voxmap.cells[boundary].tolist())),
+            point_count=int(totals[i]),
+        )
+        for i, (members, boundary) in enumerate(regions)
+    ]

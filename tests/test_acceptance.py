@@ -217,12 +217,14 @@ def test_criterion_6_database_scaling():
     per_frame = 20
     query = synth_frame(rng, 10**9, 200)
 
-    def median_latency(db, reps=50):
+    def median_latency(db, batch, reps=15):
+        """Median per-query latency over reps timed batches of queries."""
         times = []
         for _ in range(reps):
             t0 = time.perf_counter()
-            db.query_candidates(query, skip_recent=0)
-            times.append(time.perf_counter() - t0)
+            for _ in range(batch):
+                db.query_candidates(query, skip_recent=0)
+            times.append((time.perf_counter() - t0) / batch)
         return float(np.median(times))
 
     small = DescriptorDatabase()
@@ -232,9 +234,12 @@ def test_criterion_6_database_scaling():
     for f in range(10_000):
         large.insert_frame(f, synth_frame(rng, f, per_frame))
 
-    median_latency(small, reps=5)  # warm-up
-    lat_small = median_latency(small)
-    lat_large = median_latency(large)
+    # one query takes well under a millisecond, which a busy host can double;
+    # a sample is a batch of queries lasting tens of milliseconds instead
+    single = median_latency(small, batch=1, reps=5)  # also the warm-up
+    batch = max(1, math.ceil(0.03 / single))
+    lat_small = median_latency(small, batch)
+    lat_large = median_latency(large, batch)
     assert lat_large <= 2.0 * lat_small, (
         f"query latency grew {lat_large / lat_small:.2f}x from 100 to 10000 frames"
     )

@@ -227,6 +227,18 @@ class TestExitCodes:
         )
         assert code == 3
 
+    def test_out_of_range_scan_point_is_io_error(self, tmp_path, world, capsys):
+        # finite, but 1e30 m cannot be given an int64 downsampling cell
+        poses = [yaw_pose(6.0 + i, 9.0, 1.5, 0.0) for i in range(3)]
+        scan_dir, pose_file = write_sequence(tmp_path, world, poses)
+        (scan_dir / "000001.bin").write_bytes(np.array([[1e30, 0, 0, 0]], dtype="<f4").tobytes())
+        code = main(
+            ["run", "--scans", str(scan_dir), "--poses", str(pose_file),
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 3
+        assert "int64" in capsys.readouterr().err
+
     def test_empty_scan_file_is_io_error(self, tmp_path, world):
         poses = [yaw_pose(6.0 + i, 9.0, 1.5, 0.0) for i in range(3)]
         scan_dir, pose_file = write_sequence(tmp_path, world, poses)

@@ -1,6 +1,7 @@
 from itertools import permutations
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from triloop.descriptors import build_descriptors
 from triloop.geometry import RigidTransform, random_rotation
@@ -23,8 +24,13 @@ def make_kps(positions, normals=None, frame_id=0):
     ]
 
 
-def oracle_descriptors(kps, k_neighbors, min_side=0.5, slack=0.1, resolution=0.01):
-    """Independent re-derivation: plain loops, full distance matrix, no k-d tree."""
+def oracle_descriptors(kps, k_neighbors, min_side=0.5, slack=0.1, resolution=0.01,
+                       neighbor_lists=None):
+    """Independent re-derivation: plain loops, full distance matrix, no k-d tree.
+
+    An anchor's neighbors are its k nearest, equal distances taken in index
+    order, unless neighbor_lists gives them (indices in position order).
+    """
     order = sorted(range(len(kps)), key=lambda i: tuple(kps[i].position))
     pos = np.array([kps[i].position for i in order])
     nrm = np.array([kps[i].normal for i in order])
@@ -46,8 +52,11 @@ def oracle_descriptors(kps, k_neighbors, min_side=0.5, slack=0.1, resolution=0.0
     seen = set()
     out = []
     for anchor in range(m):
-        neighbor_order = [int(j) for j in np.argsort(dist[anchor], kind="stable") if j != anchor]
-        nn = sorted(neighbor_order[:k])
+        if neighbor_lists is None:
+            neighbor_order = [int(j) for j in np.argsort(dist[anchor], kind="stable") if j != anchor]
+            nn = sorted(neighbor_order[:k])
+        else:
+            nn = sorted(neighbor_lists[anchor])
         for x in range(len(nn)):
             for y in range(x + 1, len(nn)):
                 i, j = nn[x], nn[y]
@@ -114,6 +123,26 @@ def test_matches_exhaustive_oracle():
     isosceles = (sides[:, 0] == sides[:, 1]) | (sides[:, 1] == sides[:, 2])
     equilateral = (sides[:, 0] == sides[:, 1]) & (sides[:, 1] == sides[:, 2])
     assert isosceles.sum() > equilateral.sum() > 0
+
+
+def test_equidistant_neighbors_follow_the_kd_tree():
+    # Pinned tie rule: when several points tie at an anchor's k-th neighbor
+    # distance, the ones kept are those cKDTree.query returns, not the lowest
+    # indices. On this lattice that gives 331 descriptors; index-order ties
+    # would give 327.
+    pts = lattice_points(np.random.default_rng(0), 30)
+    kps = make_kps(pts)
+    got = build_descriptors(kps, k_neighbors=20)
+    assert len(got) == 331
+    assert len(oracle_descriptors(kps, k_neighbors=20)) == 327
+    pos = pts[sorted(range(len(pts)), key=lambda i: tuple(pts[i]))]
+    _, nn = cKDTree(pos).query(pos, k=21)
+    tree_lists = [[int(j) for j in row if j != anchor][:20] for anchor, row in enumerate(nn)]
+    expected = oracle_descriptors(kps, k_neighbors=20, neighbor_lists=tree_lists)
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert np.array_equal(g.vertices, e["vertices"])
+        assert np.allclose(g.sides, e["sides"], atol=1e-12)
 
 
 def test_too_few_keypoints_yield_empty():

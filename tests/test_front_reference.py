@@ -1,0 +1,171 @@
+"""The array front half against its per-point and per-voxel references.
+
+Every output must be bit-identical: downsampled centroids, voxel columns,
+plane fields, raster images and key points.
+"""
+
+import numpy as np
+import pytest
+from scalar_front import (
+    scalar_classify,
+    scalar_downsample,
+    scalar_extract_keypoints,
+    scalar_grow_planes,
+    scalar_keyframe_keypoints,
+    scalar_plane_axes,
+    scalar_rasterize,
+    scalar_voxel_map,
+)
+
+from triloop.ingest import voxel_downsample
+from triloop.keypoints import PlaneImage, extract_keypoints, keyframe_keypoints, plane_axes, rasterize
+from triloop.planes import MIN_VOXEL_POINTS, Plane, build_voxel_map, classify_plane_voxels, grow_planes
+
+SEEDS = (0, 1, 2)
+OFFSETS = (0.0, -1e5, 1e5)  # coordinates below zero everywhere, and far from the origin
+
+
+def random_scene(seed, offset):
+    """Noisy planar patches of random and axis-aligned orientation, crossing
+    each other, plus scattered points that leave sparse voxels."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for k in range(8):
+        if k % 2:
+            normal = rng.normal(size=3)
+        else:
+            normal = np.eye(3)[rng.integers(3)] + rng.normal(scale=0.01, size=3)
+        normal /= np.linalg.norm(normal)
+        e1 = np.cross(normal, [0.3, 0.5, 0.8])
+        e1 /= np.linalg.norm(e1)
+        e2 = np.cross(normal, e1)
+        n = int(rng.integers(1500, 4000))
+        st = rng.uniform(-4.0, 4.0, size=(n, 2))
+        center = rng.uniform(-8.0, 4.0, size=3)
+        noise = rng.normal(scale=rng.choice([0.002, 0.03]), size=n)
+        parts.append(center + st[:, :1] * e1 + st[:, 1:] * e2 + noise[:, None] * normal)
+    parts.append(rng.uniform(-12.0, 8.0, size=(400, 3)))
+    cloud = np.vstack(parts)
+    return cloud[rng.permutation(len(cloud))] + offset
+
+
+def assert_same_planes(got, expected):
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g.id == e.id
+        assert np.array_equal(g.center, e.center)
+        assert np.array_equal(g.normal, e.normal)
+        assert g.member_cells == e.member_cells
+        assert g.boundary_cells == e.boundary_cells
+        assert g.point_count == e.point_count
+
+
+def assert_same_keypoints(got, expected):
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert np.array_equal(g.position, e.position)
+        assert np.array_equal(g.normal, e.normal)
+        assert (g.plane_id, g.frame_id, g.strength) == (e.plane_id, e.frame_id, e.strength)
+
+
+@pytest.mark.parametrize("offset", OFFSETS)
+@pytest.mark.parametrize("seed", SEEDS)
+class TestMatchesReference:
+    def test_downsample(self, seed, offset):
+        cloud = random_scene(seed, offset)
+        for leaf in (0.25, 0.3):
+            got = voxel_downsample(cloud, leaf)
+            assert np.array_equal(got, scalar_downsample(cloud, leaf))
+
+    def test_voxel_map_and_classify(self, seed, offset):
+        cloud = voxel_downsample(random_scene(seed, offset), 0.25)
+        voxmap = build_voxel_map(cloud, 1.0)
+        ref = scalar_voxel_map(cloud, 1.0)
+        cells = sorted(ref)
+        voxels = [ref[c] for c in cells]
+        assert len(voxmap) == len(ref)
+        assert voxmap.cells.tolist() == [list(c) for c in cells]
+        assert np.all(np.diff(voxmap.keys) > 0)
+        assert voxmap.counts.tolist() == [v.count for v in voxels]
+        assert np.array_equal(voxmap.means, np.array([v.mean for v in voxels]))
+        assert np.array_equal(voxmap.covariances, np.array([v.covariance for v in voxels]))
+        sparse = voxmap.counts < MIN_VOXEL_POINTS
+        assert sparse.any() and not sparse.all()
+        assert np.isnan(voxmap.eigenvalues[sparse]).all()
+        assert np.isnan(voxmap.normals[sparse]).all()
+        dense = np.flatnonzero(~sparse)
+        assert np.array_equal(voxmap.eigenvalues[dense], np.array([voxels[i].eigenvalues for i in dense]))
+        assert np.array_equal(voxmap.normals[dense], np.array([voxels[i].normal for i in dense]))
+        for i, voxel in enumerate(voxels):
+            assert np.array_equal(voxmap.points[voxmap.offsets[i]:voxmap.offsets[i + 1]], voxel.points)
+        assert voxmap.offsets[-1] == len(cloud)
+
+        n = classify_plane_voxels(voxmap, 0.01, 0.05)
+        assert type(n) is int
+        assert n == scalar_classify(ref, 0.01, 0.05)
+        assert 0 < n < len(voxmap)
+        assert voxmap.is_plane.tolist() == [v.is_plane for v in voxels]
+
+    @pytest.mark.parametrize("connectivity", (6, 26))
+    def test_planes_and_keypoints(self, seed, offset, connectivity):
+        cloud = voxel_downsample(random_scene(seed, offset), 0.25)
+        voxmap = build_voxel_map(cloud, 1.0)
+        ref = scalar_voxel_map(cloud, 1.0)
+        classify_plane_voxels(voxmap, 0.01, 0.05)
+        scalar_classify(ref, 0.01, 0.05)
+        for normal_tol, dist_tol in ((0.02, 0.2), (0.2, 0.5)):
+            planes = grow_planes(voxmap, normal_tol, dist_tol, connectivity)
+            expected = scalar_grow_planes(ref, normal_tol, dist_tol, connectivity)
+            assert_same_planes(planes, expected)
+            assert any(len(p.member_cells) > 1 for p in planes)
+            assert any(p.boundary_cells for p in planes)
+            got = keyframe_keypoints(planes, voxmap, min_dist=0.1, frame_id=3, max_keypoints=10**6)
+            want = scalar_keyframe_keypoints(expected, ref, min_dist=0.1, frame_id=3,
+                                             max_keypoints=10**6)
+            assert got
+            assert_same_keypoints(got, want)
+
+
+def test_plane_axes_match_reference():
+    rng = np.random.default_rng(7)
+    normals = list(rng.normal(size=(200, 3))) + list(np.eye(3)) + list(-np.eye(3))
+    for n in normals:
+        n = n / np.linalg.norm(n)
+        for got, want in zip(plane_axes(n), scalar_plane_axes(n)):
+            assert np.array_equal(got, want)
+
+
+def test_rasterize_ties_inside_a_pixel():
+    rng = np.random.default_rng(8)
+    plane = Plane(id=4, center=np.zeros(3), normal=np.array([0.0, 0.0, 1.0]))
+    for _ in range(20):
+        n = int(rng.integers(1, 300))
+        uv = rng.uniform(-3.0, 3.0, size=(n, 2))
+        distances = rng.integers(0, 4, size=n) * 0.25  # many equal maxima per pixel
+        points = rng.normal(size=(n, 3))
+        got = rasterize(points, distances, uv, 0.5, plane)
+        want = scalar_rasterize(points, distances, uv, 0.5, plane)
+        assert got.offset == want.offset
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.sources, want.sources)
+        # the winner of a tie is the lowest point index among the pixel's maxima
+        pix = np.floor(uv / 0.5).astype(int)
+        for r, c in zip(*np.nonzero(got.sources >= 0)):
+            in_pixel = np.flatnonzero((pix[:, 0] - got.offset[0] == r) & (pix[:, 1] - got.offset[1] == c))
+            best = in_pixel[distances[in_pixel] == distances[in_pixel].max()]
+            assert got.sources[r, c] == best[0]
+
+
+def test_nms_ties_match_reference():
+    rng = np.random.default_rng(9)
+    for _ in range(30):
+        h, w = (int(x) for x in rng.integers(1, 25, size=2))
+        values = rng.integers(0, 3, size=(h, w)) * 0.5  # plateaus of equal pixels
+        values[rng.uniform(size=(h, w)) < 0.3] = -np.inf
+        img = PlaneImage(
+            plane_id=1, origin=np.zeros(3), e1=np.array([1.0, 0, 0]), e2=np.array([0, 1.0, 0]),
+            normal=np.array([0, 0, 1.0]), pixel_size=0.5, offset=(0, 0), values=values,
+            sources=np.arange(h * w).reshape(h, w), points=rng.normal(size=(h * w, 3)),
+        )
+        got = extract_keypoints(img, 0.4, frame_id=2)
+        assert_same_keypoints(got, scalar_extract_keypoints(img, 0.4, frame_id=2))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from triloop.errors import (
+    CellOutOfRange,
     EmptyInput,
     MalformedRecord,
     NonFiniteInput,
@@ -254,3 +255,23 @@ class TestVoxelDownsample:
     def test_rejects_bad_leaf(self):
         with pytest.raises(NonPositiveLeaf):
             voxel_downsample(np.zeros((1, 3)), 0.0)
+
+    def test_out_of_range_cells_raise(self):
+        # cells beyond int64: casting would wrap both far points to INT64_MIN
+        with pytest.raises(CellOutOfRange) as info:
+            voxel_downsample(np.array([[1e30, 0, 0], [-1e30, 0, 0], [0, 0, 0]]), 0.25)
+        assert isinstance(info.value, TriloopError) and isinstance(info.value, ValueError)
+        # two distinct far points would wrap into one cell of a one-cell box
+        with pytest.raises(CellOutOfRange):
+            voxel_downsample(np.array([[1e30, 0, 0], [3e30, 0, 0]]), 0.25)
+        # each cell fits an int64, but the cell box has more cells than a key holds
+        with pytest.raises(CellOutOfRange):
+            voxel_downsample(np.array([[-4e18, 0, 0], [4e18, 1, 0]]), 1.0)
+        with pytest.raises(CellOutOfRange):
+            voxel_downsample(np.array([[np.nan, 0, 0], [0, 0, 0]]), 1.0)
+
+    def test_widest_cell_box_that_fits_is_exact(self):
+        # extreme but representable cells still group and sort exactly
+        pts = np.array([[-4e18, 0.5, 0.5], [4e18, 0.5, 0.5], [-4e18, 0.5, 0.5], [0.5, 0.5, 0.5]])
+        out = voxel_downsample(pts, 1.0)
+        assert np.array_equal(out, [[-4e18, 0.5, 0.5], [0.5, 0.5, 0.5], [4e18, 0.5, 0.5]])

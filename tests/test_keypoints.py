@@ -11,7 +11,7 @@ from triloop.keypoints import (
     project_boundary,
     rasterize,
 )
-from triloop.planes import Plane, Voxel
+from triloop.planes import Plane, VoxelMap
 
 
 def make_plane_scene(center, normal, boundary_points):
@@ -24,13 +24,13 @@ def make_plane_scene(center, normal, boundary_points):
         member_cells=[(0, 0, 0)],
         boundary_cells=[(9, 9, 9)],
     )
-    pts = np.asarray(boundary_points, dtype=np.float64)
-    voxmap = {
-        (9, 9, 9): Voxel(
-            cell=(9, 9, 9), points=pts, mean=pts.mean(axis=0), covariance=np.zeros((3, 3))
-        )
-    }
-    return plane, voxmap
+    return plane, one_voxel_map((9, 9, 9), boundary_points)
+
+
+def one_voxel_map(cell, points):
+    """VoxelMap whose only voxel, at `cell`, holds the given points."""
+    pts = np.asarray(points, dtype=np.float64)
+    return VoxelMap.from_points(pts, np.tile(np.array(cell, dtype=np.int64), (len(pts), 1)))
 
 
 class TestProjection:
@@ -211,7 +211,7 @@ class TestEndToEnd:
         img = rasterize(pts, dists, uv, 0.5, plane)
         kps = extract_keypoints(img, 0.05)
         assert kps
-        cloud = {tuple(p) for p in voxmap[(9, 9, 9)].points}
+        cloud = {tuple(p) for p in voxmap.points_of(voxmap.lookup([(9, 9, 9)]))}
         for kp in kps:
             assert tuple(kp.position) in cloud
 
@@ -231,15 +231,8 @@ class TestEndToEnd:
             member_cells=plane.member_cells,
             boundary_cells=plane.boundary_cells,
         )
-        moved_pts = t.apply(voxmap[(9, 9, 9)].points)
-        moved_voxmap = {
-            (9, 9, 9): Voxel(
-                cell=(9, 9, 9),
-                points=moved_pts,
-                mean=moved_pts.mean(axis=0),
-                covariance=np.zeros((3, 3)),
-            )
-        }
+        moved_pts = t.apply(voxmap.points_of(voxmap.lookup([(9, 9, 9)])))
+        moved_voxmap = one_voxel_map((9, 9, 9), moved_pts)
         moved_axes = (t.R @ axes[0], t.R @ axes[1])
         mpts, mdists, muv = project_boundary(moved_plane, moved_voxmap, axes=moved_axes)
         mimg = rasterize(mpts, mdists, muv, 0.5, moved_plane, axes=moved_axes)

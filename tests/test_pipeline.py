@@ -1,3 +1,7 @@
+import importlib
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -124,3 +128,43 @@ def test_every_export_resolves():
     assert len(set(triloop.__all__)) == len(triloop.__all__)
     missing = [name for name in triloop.__all__ if not hasattr(triloop, name)]
     assert missing == []
+
+
+def _load_tracer():
+    """perfbench/tracer.py, loaded from its file without touching it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_targets_resolve():
+    # the benchmark's layer trace wraps these names; a missing one would
+    # silently report its layer as absent
+    tracer = _load_tracer()
+    missing = []
+    for module_name, cls_name, attr, span, *_ in tracer.TARGETS:
+        owner = importlib.import_module(module_name)
+        if cls_name is not None:
+            owner = getattr(owner, cls_name, None)
+        target = vars(owner).get(attr) if owner is not None else None
+        if not callable(getattr(target, "__func__", target)):
+            missing.append(f"{module_name}.{cls_name or ''}.{attr} ({span})")
+    assert missing == []
+
+
+def test_tracer_counts_front_half(keyframes):
+    tracer_module = _load_tracer()
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        extraction = extract_frame(keyframes[0].cloud, 0, PipelineConfig())
+    finally:
+        tracer.uninstall()
+    counts = tracer.metrics()
+    assert counts["planes.voxels"] > counts["planes.plane_voxels"] > 0
+    assert counts["planes.plane_voxels"] == extraction.n_plane_voxels
+    assert counts["planes.planes"] == len(extraction.planes) > 0
+    assert counts["keypoints.count"] == len(extraction.keypoints) > 0
+    assert counts["ingest.points_out"] < counts["ingest.points_in"] == len(keyframes[0].cloud)

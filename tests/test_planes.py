@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from triloop.errors import EmptyInput
+from triloop.errors import CellOutOfRange, EmptyInput, TriloopError
 from triloop.planes import (
     Plane,
+    VoxelMap,
     build_voxel_map,
     canonical_normal,
     classify_plane_voxels,
@@ -48,70 +49,94 @@ class TestVoxelMap:
     def test_single_point(self):
         voxmap = build_voxel_map(np.array([[0.5, 0.5, 0.5]]), 1.0)
         assert len(voxmap) == 1
-        v = voxmap[(0, 0, 0)]
-        assert np.allclose(v.covariance, 0.0)
-        assert v.eigenvalues is None
-        assert not is_plane_voxel(v, SIGMA1, SIGMA2)
+        [v] = voxmap.lookup([(0, 0, 0)])
+        assert np.allclose(voxmap.covariances[v], 0.0)
+        assert np.isnan(voxmap.eigenvalues[v]).all()
+        assert not is_plane_voxel(voxmap.eigenvalues[v], SIGMA1, SIGMA2)
+        assert classify_plane_voxels(voxmap, SIGMA1, SIGMA2) == 0
 
     def test_planar_points_have_zero_smallest_eigenvalue(self):
         rng = np.random.default_rng(0)
         pts = np.column_stack([rng.uniform(0, 1, 100), rng.uniform(0, 1, 100), np.zeros(100)])
         voxmap = build_voxel_map(pts, 1.0)
-        v = voxmap[(0, 0, 0)]
-        assert v.eigenvalues[2] < 1e-12
+        [v] = voxmap.lookup([(0, 0, 0)])
+        assert voxmap.eigenvalues[v, 2] < 1e-12
 
     def test_eigenvalues_match_independent_svd_solve(self):
         rng = np.random.default_rng(1)
         pts = rng.normal(size=(1000, 3)) * np.array([0.3, 0.2, 0.01]) + 5.0
         voxmap = build_voxel_map(pts, 10.0)
-        [voxel] = voxmap.values()
+        assert len(voxmap) == 1
         # independent oracle: singular values of the centered data matrix
         centered = pts - pts.mean(axis=0)
         s = np.linalg.svd(centered / np.sqrt(len(pts)), compute_uv=False)
-        assert np.max(np.abs(voxel.eigenvalues - s**2)) < 1e-9
+        assert np.max(np.abs(voxmap.eigenvalues[0] - s**2)) < 1e-9
 
     def test_population_covariance_normalization(self):
         pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]] * 6)  # 12 points
         voxmap = build_voxel_map(pts, 10.0)
-        [voxel] = voxmap.values()
+        assert len(voxmap) == 1
         # 1/N normalization: var of {0,1} with equal counts is 0.25
-        assert abs(voxel.covariance[0, 0] - 0.25) < 1e-12
+        assert abs(voxmap.covariances[0, 0, 0] - 0.25) < 1e-12
 
     def test_empty_cloud_raises(self):
         with pytest.raises(EmptyInput):
             build_voxel_map(np.zeros((0, 3)), 1.0)
 
+    def test_out_of_range_cells_raise(self):
+        with pytest.raises(CellOutOfRange) as info:
+            build_voxel_map(np.array([[1e30, 0, 0], [-1e30, 0, 0], [0, 0, 0]]), 1.0)
+        assert isinstance(info.value, TriloopError) and isinstance(info.value, ValueError)
+        with pytest.raises(CellOutOfRange):
+            build_voxel_map(np.array([[-4e18, 0, 0], [4e18, 0, 4]]), 1.0)
+        with pytest.raises(CellOutOfRange):
+            build_voxel_map(np.array([[-1e30, 0, 0], [-3e30, 0, 0]]), 1.0)
+
+    def test_lookup_and_neighbors(self):
+        voxmap = build_voxel_map(np.array([[0.5, 0.5, 0.5], [1.5, 0.5, 0.5], [-0.5, 2.5, 0.5]]), 1.0)
+        assert voxmap.cells.tolist() == [[-1, 2, 0], [0, 0, 0], [1, 0, 0]]
+        assert voxmap.lookup([(1, 0, 0), (0, 1, 0), (5, 5, 5), (-1, 2, 0)]).tolist() == [2, -1, -1, 0]
+        table = voxmap.neighbors(((1, 0, 0), (-1, 0, 0), (0, -2, 0)))
+        assert table.tolist() == [[-1, -1, -1], [2, -1, -1], [-1, 1, -1]]
+        assert np.array_equal(voxmap.points_of([2, 0]), [[1.5, 0.5, 0.5], [-0.5, 2.5, 0.5]])
+
     def test_normal_sign_is_canonical(self):
         rng = np.random.default_rng(2)
         pts = floor_patch((0, 1), (0, 1)) + rng.normal(scale=1e-4, size=(25, 3))
         voxmap = build_voxel_map(pts, 1.0)
-        [voxel] = voxmap.values()
-        assert voxel.normal[2] > 0  # z dominant, flipped positive
-        assert abs(np.linalg.norm(voxel.normal) - 1.0) < 1e-9
+        assert len(voxmap) == 1
+        assert voxmap.normals[0, 2] > 0  # z dominant, flipped positive
+        assert abs(np.linalg.norm(voxmap.normals[0]) - 1.0) < 1e-9
 
 
 class TestPlaneCriterion:
     def test_default_thresholds_accept_plane(self):
         v = _voxel_with_eigs(1.0, 0.2, 0.001)
-        assert is_plane_voxel(v, 0.01, 0.05)
+        assert is_plane_voxel(v.eigenvalues[0], 0.01, 0.05)
+        assert classify_plane_voxels(v, 0.01, 0.05) == 1 and v.is_plane[0]
 
     def test_thick_voxel_rejected(self):
-        assert not is_plane_voxel(_voxel_with_eigs(1.0, 0.2, 0.02), 0.01, 0.05)
+        v = _voxel_with_eigs(1.0, 0.2, 0.02)
+        assert not is_plane_voxel(v.eigenvalues[0], 0.01, 0.05)
+        assert classify_plane_voxels(v, 0.01, 0.05) == 0
 
     def test_rod_rejected(self):
-        assert not is_plane_voxel(_voxel_with_eigs(1.0, 0.03, 0.001), 0.01, 0.05)
+        v = _voxel_with_eigs(1.0, 0.03, 0.001)
+        assert not is_plane_voxel(v.eigenvalues[0], 0.01, 0.05)
+        assert classify_plane_voxels(v, 0.01, 0.05) == 0
 
 
 def _voxel_with_eigs(l1, l2, l3):
-    from triloop.planes import Voxel
-
-    return Voxel(
-        cell=(0, 0, 0),
+    """One-voxel map whose voxel has the given descending eigenvalues."""
+    return VoxelMap(
+        cells=np.zeros((1, 3), dtype=np.int64),
+        counts=np.array([10]),
+        means=np.zeros((1, 3)),
+        covariances=np.diag([l1, l2, l3])[None],
+        eigenvalues=np.array([[l1, l2, l3]]),
+        normals=np.array([[0.0, 0.0, 1.0]]),
+        offsets=np.array([0, 10]),
         points=np.zeros((10, 3)),
-        mean=np.zeros(3),
-        covariance=np.diag([l1, l2, l3]),
-        eigenvalues=np.array([l1, l2, l3]),
-        normal=np.array([0.0, 0.0, 1.0]),
     )
 
 
@@ -153,8 +178,9 @@ class TestGrowPlanes:
             members = set(plane.member_cells)
             assert not (members & seen)
             seen |= members
-            for cell in members:
-                assert is_plane_voxel(voxmap[cell], SIGMA1, SIGMA2)
+            rows = voxmap.lookup(sorted(members))
+            assert np.all(rows >= 0)
+            assert is_plane_voxel(voxmap.eigenvalues[rows], SIGMA1, SIGMA2).all()
 
     def test_normal_consistency(self):
         rng = np.random.default_rng(3)
@@ -163,8 +189,8 @@ class TestGrowPlanes:
         planes = grow_planes(voxmap, normal_merge_tol=0.02)
         assert planes
         for plane in planes:
-            for cell in plane.member_cells:
-                assert abs(float(voxmap[cell].normal @ plane.normal)) > 1.0 - 0.02
+            for row in voxmap.lookup(plane.member_cells):
+                assert abs(float(voxmap.normals[row] @ plane.normal)) > 1.0 - 0.02
 
     def test_translation_equivariance(self):
         cloud = np.vstack([wall_xz((0, 6), (0, 3)), wall_yz((0, 6), (0, 3))])
@@ -179,18 +205,19 @@ class TestGrowPlanes:
                 (c[0] + 3, c[1] - 2, c[2] + 1) for c in pa.member_cells
             }
             assert np.allclose(pb.center, pa.center + shift, atol=1e-9)
-        for cell, voxel in voxmap_a.items():
-            if voxel.eigenvalues is None:
-                continue
-            moved = voxmap_b[(cell[0] + 3, cell[1] - 2, cell[2] + 1)]
-            assert np.max(np.abs(moved.eigenvalues - voxel.eigenvalues)) < 1e-9
+        assert np.array_equal(voxmap_b.cells, voxmap_a.cells + [3, -2, 1])
+        dense = ~np.isnan(voxmap_a.eigenvalues[:, 0])
+        assert np.array_equal(dense, ~np.isnan(voxmap_b.eigenvalues[:, 0]))
+        diff = voxmap_b.eigenvalues[dense] - voxmap_a.eigenvalues[dense]
+        assert np.max(np.abs(diff)) < 1e-9
 
     def test_plane_center_is_weighted_voxel_mean(self):
         cloud = floor_patch((0, 4), (0, 4))
         voxmap = extract(cloud)
         [plane] = grow_planes(voxmap)
-        weights = np.array([voxmap[c].count for c in plane.member_cells], dtype=float)
-        means = np.array([voxmap[c].mean for c in plane.member_cells])
+        rows = voxmap.lookup(plane.member_cells)
+        weights = voxmap.counts[rows].astype(float)
+        means = voxmap.means[rows]
         expected = (means * weights[:, None]).sum(axis=0) / weights.sum()
         assert np.allclose(plane.center, expected, atol=1e-12)
 
@@ -204,7 +231,7 @@ class TestGrowPlanes:
 
     def test_invalid_connectivity_rejected(self):
         with pytest.raises(ValueError):
-            grow_planes({}, connectivity=18)
+            grow_planes(build_voxel_map(np.zeros((1, 3)), 1.0), connectivity=18)
 
 
 def test_canonical_normal_flips_dominant_component():
