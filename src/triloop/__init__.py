@@ -6,8 +6,8 @@ rotation/translation-invariant triangle descriptors, retrieve loop candidates
 by hash voting, and verify geometrically with a full 6-dof relative pose.
 """
 
-from .database import Candidate, DescriptorDatabase, HashKey, make_key
-from .descriptors import TriangleDescriptor, build_descriptors
+from .database import Candidate, DescriptorDatabase
+from .descriptors import DescriptorFrame, DescriptorPairs, TriangleDescriptor, build_descriptors
 from .errors import TriloopError
 from .geometry import Correspondences3, RigidTransform, solve_rigid_svd
 from .ingest import (
@@ -37,8 +37,9 @@ __all__ = [
     "Candidate",
     "Correspondences3",
     "DescriptorDatabase",
+    "DescriptorFrame",
+    "DescriptorPairs",
     "FrameExtraction",
-    "HashKey",
     "Keyframe",
     "KeyPoint",
     "MatchingSession",
@@ -59,7 +60,6 @@ __all__ = [
     "grow_planes",
     "is_plane_voxel",
     "keyframe_keypoints",
-    "make_key",
     "plane_icp",
     "plane_overlap",
     "ransac_transform",

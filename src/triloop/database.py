@@ -3,7 +3,7 @@
 Signatures are quantized componentwise and the six cells mixed into one
 64-bit bucket key. Stored descriptors are held column-wise, one row per
 descriptor in insertion order: its six cells, the insertion index of its
-frame and its position in that frame's descriptor list. The bucket index is
+frame and its row in that frame's ``DescriptorFrame``. The bucket index is
 two more columns, bucket keys and the rows they point to, cut into
 consecutive segments that are each sorted by key. An insert appends the new
 frame as a segment and merges the newest two segments (one in-place sort of
@@ -23,12 +23,11 @@ import math
 import struct
 import threading
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .descriptors import TriangleDescriptor
+from .descriptors import DescriptorFrame, DescriptorPairs
 from .errors import DuplicateFrame, MalformedRecord
 
 TOP_K_CANDIDATES = 10
@@ -46,49 +45,15 @@ _MIX_CONSTANTS = (
     0xFF51AFD7ED558CCD,
     0xC4CEB9FE1A85EC53,
 )
-_MASK64 = (1 << 64) - 1
-
-
-@dataclass(frozen=True)
-class HashKey:
-    """Quantized signature cells plus their mixed 64-bit bucket key."""
-
-    cells: tuple[int, int, int, int, int, int]
-    bucket: int
-
-
-def quantize(value: float, delta: float) -> int:
-    return int(math.floor(value / delta + _QUANT_EPS))
-
-
-def make_key(signature, delta_l: float, delta_n: float) -> HashKey:
-    """Quantize (l12, l23, l13, |n1.n2|, |n2.n3|, |n1.n3|) into a hash key.
-
-    Scalar reference for one signature; the database computes the same keys
-    for a whole frame at once with ``frame_keys``.
-    """
-    sig = np.asarray(signature, dtype=np.float64)
-    cells = (
-        quantize(sig[0], delta_l),
-        quantize(sig[1], delta_l),
-        quantize(sig[2], delta_l),
-        quantize(sig[3], delta_n),
-        quantize(sig[4], delta_n),
-        quantize(sig[5], delta_n),
-    )
-    h = _HASH_SEED
-    for cell, mult in zip(cells, _MIX_CONSTANTS):
-        h ^= (cell & _MASK64) * mult & _MASK64
-        h = ((h << 13) | (h >> 51)) & _MASK64
-    return HashKey(cells=cells, bucket=h)
 
 
 def frame_signatures(sides: np.ndarray, normals: np.ndarray) -> np.ndarray:
     """(M, 6) signatures from sides (M, 3) and vertex normals (M, 3, 3).
 
-    Equal bit for bit to ``TriangleDescriptor.signature`` row by row: the
-    stacked matmul forms each normal dot product the same way as the scalar
-    ``n1 @ n2`` (einsum and multiply-then-sum differ in the last ulp).
+    Equal bit for bit, row by row, to the scalar reference ``signature`` in
+    ``tests/scalar_descriptors.py``: the stacked matmul forms each normal dot
+    product the same way as the scalar ``n1 @ n2`` (einsum and
+    multiply-then-sum differ in the last ulp).
     """
     sides = np.asarray(sides, dtype=np.float64).reshape(-1, 3)
     normals = np.asarray(normals, dtype=np.float64).reshape(-1, 3, 3)
@@ -103,15 +68,16 @@ def frame_keys(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cells (M, 6) int64 and bucket keys (M,) uint64 of M signatures.
 
-    Row for row equal to ``make_key``: the same floor arithmetic, and the
-    same mix in wrapping uint64 arithmetic.
+    Row for row equal to the scalar reference ``make_key`` in
+    ``tests/scalar_descriptors.py``: the same floor arithmetic, and the same
+    mix in wrapping uint64 arithmetic.
     """
     sig = np.asarray(signatures, dtype=np.float64).reshape(-1, 6)
     if not np.isfinite(sig).all():
         raise ValueError("descriptor signatures must be finite")
     deltas = np.array([delta_l] * 3 + [delta_n] * 3)
     cells = np.floor(sig / deltas + _QUANT_EPS).astype(np.int64)
-    # int64 -> uint64 reinterpretation is the two's complement `cell & _MASK64`
+    # int64 -> uint64 reinterpretation is the two's complement of the cell
     words = cells.view(np.uint64)
     h = np.full(len(cells), _HASH_SEED, dtype=np.uint64)
     for j, mult in enumerate(_MIX_CONSTANTS):
@@ -126,7 +92,7 @@ class Candidate:
 
     frame_id: int
     votes: int
-    pairs: tuple[tuple[TriangleDescriptor, TriangleDescriptor], ...]
+    pairs: DescriptorPairs  # one per vote, in query order
 
 
 @dataclass(frozen=True)
@@ -137,8 +103,8 @@ class _Votes:
     frames: np.ndarray        # insertion index of each ranked frame
     frame_ids: np.ndarray
     votes: np.ndarray
-    query_rows: np.ndarray    # per match: the query descriptor's index,
-    slots: np.ndarray         # its partner's index in the frame's list,
+    query_rows: np.ndarray    # per match: the query descriptor's row,
+    slots: np.ndarray         # its partner's row in the stored frame,
     match_frames: np.ndarray  # and the frame's insertion index
 
 
@@ -150,41 +116,14 @@ _DESC_FLOATS = 24  # p1 p2 p3 (9) + n1 n2 n3 (9) + sides (3) + centroid (3)
 _DESC_BYTES = _DESC_FLOATS * 8
 
 
-def _stack_3x3(arrays: list[np.ndarray]) -> np.ndarray:
-    """(M, 3, 3) float64 stack of M (3, 3) arrays."""
-    return np.array(arrays, dtype=np.float64).reshape(-1, 3, 3)
-
-
-def _stack_frame(descriptors: list[TriangleDescriptor]) -> tuple[np.ndarray, np.ndarray]:
-    """Sides (M, 3) and normals (M, 3, 3) of a frame's descriptors."""
-    sides = np.fromiter(
-        chain.from_iterable([d.sides for d in descriptors]),
-        dtype=np.float64,
-        count=3 * len(descriptors),
-    ).reshape(-1, 3)
-    return sides, _stack_3x3([d.normals for d in descriptors])
-
-
-def _frame_record(descriptors: list[TriangleDescriptor]) -> np.ndarray:
+def _frame_record(frame: DescriptorFrame) -> np.ndarray:
     """(M, 24) little-endian snapshot rows of one frame."""
-    vertices = _stack_3x3([d.vertices for d in descriptors])
-    sides, normals = _stack_frame(descriptors)
-    record = np.empty((len(descriptors), _DESC_FLOATS), dtype="<f8")
-    record[:, 0:9] = vertices.reshape(-1, 9)
-    record[:, 9:18] = normals.reshape(-1, 9)
-    record[:, 18:21] = sides
-    record[:, 21:24] = vertices.mean(axis=1)
+    record = np.empty((len(frame), _DESC_FLOATS), dtype="<f8")
+    record[:, 0:9] = frame.vertices.reshape(-1, 9)
+    record[:, 9:18] = frame.normals.reshape(-1, 9)
+    record[:, 18:21] = frame.sides
+    record[:, 21:24] = frame.vertices.mean(axis=1)
     return record
-
-
-def _record_descriptors(record: np.ndarray, frame_id: int) -> list[TriangleDescriptor]:
-    """Descriptors viewing the rows of a (M, 24) snapshot record."""
-    vertices = record[:, 0:9].reshape(-1, 3, 3)
-    normals = record[:, 9:18].reshape(-1, 3, 3)
-    return [
-        TriangleDescriptor(vertices=v, normals=n, sides=tuple(s), frame_id=frame_id)
-        for v, n, s in zip(vertices, normals, record[:, 18:21].tolist())
-    ]
 
 
 class DescriptorDatabase:
@@ -198,13 +137,13 @@ class DescriptorDatabase:
         # one row per stored descriptor; capacity grows geometrically
         self._cells = np.empty((0, 6), dtype=np.int64)
         self._row_frame = np.empty(0, dtype=np.int64)  # insertion index of the frame
-        self._row_slot = np.empty(0, dtype=np.int64)   # index in the frame's list
+        self._row_slot = np.empty(0, dtype=np.int64)   # row in the frame
         # the bucket index, a permutation of the rows; see the module docstring
         self._index_keys = np.empty(0, dtype=np.uint64)
         self._index_rows = np.empty(0, dtype=np.int64)
         self._segment_starts: list[int] = []
         self._insertion_order: list[int] = []
-        self._frame_descriptors: dict[int, list[TriangleDescriptor]] = {}
+        self._frames: dict[int, DescriptorFrame] = {}
         self._descriptors_indexed = 0
         self._lock = threading.RLock()
 
@@ -216,47 +155,31 @@ class DescriptorDatabase:
     def descriptors_indexed(self) -> int:
         return self._descriptors_indexed
 
-    def key_for(self, descriptor: TriangleDescriptor) -> HashKey:
-        return make_key(descriptor.signature(), self.delta_l, self.delta_n)
+    def _keys(self, frame: DescriptorFrame) -> tuple[np.ndarray, np.ndarray]:
+        signatures = frame_signatures(frame.sides, frame.normals)
+        return frame_keys(signatures, self.delta_l, self.delta_n)
 
-    def _keys(self, sides: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return frame_keys(frame_signatures(sides, normals), self.delta_l, self.delta_n)
-
-    def insert_frame(self, frame_id: int, descriptors: list[TriangleDescriptor]) -> None:
-        """Insert one frame's descriptors atomically."""
-        descriptors = list(descriptors)
-        for d in descriptors:
-            if d.frame_id != frame_id:
-                raise ValueError(
-                    f"descriptor carries frame {d.frame_id}, inserting frame {frame_id}"
-                )
-        self._publish(frame_id, descriptors, *_stack_frame(descriptors))
-
-    def _publish(
-        self,
-        frame_id: int,
-        descriptors: list[TriangleDescriptor],
-        sides: np.ndarray,
-        normals: np.ndarray,
-    ) -> None:
-        """Index a validated frame and make it visible to queries in one step."""
+    def insert_frame(self, frame_id: int, frame: DescriptorFrame) -> None:
+        """Index one frame and make it visible to queries in one step."""
+        if frame.frame_id != frame_id:
+            raise ValueError(f"frame carries id {frame.frame_id}, inserting frame {frame_id}")
+        cells, buckets = self._keys(frame)
         with self._lock:
-            if frame_id in self._frame_descriptors:
+            if frame_id in self._frames:
                 raise DuplicateFrame(f"frame {frame_id} already inserted")
-            cells, buckets = self._keys(sides, normals)
             start = self._descriptors_indexed
-            stop = start + len(descriptors)
+            stop = start + len(frame)
             self._reserve(stop)
             self._cells[start:stop] = cells
             self._row_frame[start:stop] = len(self._insertion_order)
-            self._row_slot[start:stop] = np.arange(len(descriptors))
+            self._row_slot[start:stop] = np.arange(len(frame))
             order = np.argsort(buckets, kind="stable")
             self._index_keys[start:stop] = buckets[order]
             self._index_rows[start:stop] = start + order
-            if descriptors:
+            if len(frame):
                 self._segment_starts.append(start)
                 self._merge_segments(stop)
-            self._frame_descriptors[frame_id] = descriptors
+            self._frames[frame_id] = frame
             self._insertion_order.append(frame_id)
             self._descriptors_indexed = stop
 
@@ -314,14 +237,14 @@ class DescriptorDatabase:
         positions = np.arange(counts.sum()) + np.repeat(first - run_start, counts)
         return np.repeat(query, counts), self._index_rows[positions]
 
-    def _vote(self, descriptors: list[TriangleDescriptor], skip_recent: int) -> _Votes:
+    def _vote(self, frame: DescriptorFrame, skip_recent: int) -> _Votes:
         """The vote kernel: one vote per (query descriptor, frame) cell match.
 
         Matches come ordered by (query row, stored row), and a frame's rows
         are consecutive, so the first match of each (query row, frame) is the
         frame's earliest stored descriptor in the cell: its pair partner.
         """
-        cells, buckets = self._keys(*_stack_frame(descriptors))
+        cells, buckets = self._keys(frame)
         with self._lock:
             query, stored = self._bucket_rows(buckets)
             frames = self._row_frame[stored]
@@ -338,24 +261,19 @@ class DescriptorDatabase:
         rank = np.lexsort((ids, -votes))
         return _Votes(voted[rank], ids[rank], votes[rank], query, slots, frames)
 
-    def vote_counts(
-        self, descriptors: list[TriangleDescriptor], skip_recent: int = 0
-    ) -> dict[int, int]:
+    def vote_counts(self, frame: DescriptorFrame, skip_recent: int = 0) -> dict[int, int]:
         """Votes per stored frame: one per (query descriptor, frame) cell match."""
-        result = self._vote(list(descriptors), skip_recent)
+        result = self._vote(frame, skip_recent)
         return dict(zip(result.frame_ids.tolist(), result.votes.tolist()))
 
-    def query_candidates(
-        self, descriptors: list[TriangleDescriptor], skip_recent: int = 0
-    ) -> list[Candidate]:
+    def query_candidates(self, frame: DescriptorFrame, skip_recent: int = 0) -> list[Candidate]:
         """Top-voted frames with their matched pairs, at most TOP_K_CANDIDATES.
 
         Each (query descriptor, frame) contributes one vote and one pair; when
         a frame has several descriptors in the cell, the earliest stored one
         becomes the pair partner. Pairs are listed in query order.
         """
-        descriptors = list(descriptors)
-        result = self._vote(descriptors, skip_recent)
+        result = self._vote(frame, skip_recent)
         candidates = []
         for f, fid, n in zip(
             result.frames[:TOP_K_CANDIDATES].tolist(),
@@ -363,12 +281,9 @@ class DescriptorDatabase:
             result.votes[:TOP_K_CANDIDATES].tolist(),
         ):
             mine = result.match_frames == f
-            # a published frame's descriptor list never changes
-            partners = self._frame_descriptors[fid]
-            pairs = tuple(zip(
-                map(descriptors.__getitem__, result.query_rows[mine].tolist()),
-                map(partners.__getitem__, result.slots[mine].tolist()),
-            ))
+            # an inserted frame never changes
+            pairs = DescriptorPairs(frame[result.query_rows[mine]],
+                                    self._frames[fid][result.slots[mine]])
             candidates.append(Candidate(frame_id=fid, votes=n, pairs=pairs))
         return candidates
 
@@ -389,16 +304,15 @@ class DescriptorDatabase:
                              len(self._insertion_order)),
             ]
             for fid in self._insertion_order:
-                descs = self._frame_descriptors[fid]
-                chunks.append(_FRAME_HEADER.pack(fid, len(descs)))
-                if descs:
-                    chunks.append(_frame_record(descs).tobytes())
+                frame = self._frames[fid]
+                chunks.append(_FRAME_HEADER.pack(fid, len(frame)))
+                chunks.append(_frame_record(frame).tobytes())
             Path(path).write_bytes(b"".join(chunks))
 
     @classmethod
     def load(cls, path) -> "DescriptorDatabase":
-        """Read a snapshot written by ``save``; a malformed file raises
-        ``MalformedRecord``."""
+        """Read a snapshot written by ``save``; a malformed file, including one
+        holding a NaN or infinite value, raises ``MalformedRecord``."""
         raw = Path(path).read_bytes()
         if raw[:8] != _SNAPSHOT_MAGIC:
             raise MalformedRecord(f"{path}: bad magic, not a descriptor snapshot")
@@ -428,9 +342,12 @@ class DescriptorDatabase:
             start = take(n_descs * _DESC_BYTES, f"frame {fid}")
             record = np.frombuffer(
                 raw, dtype="<f8", count=n_descs * _DESC_FLOATS, offset=start
-            ).reshape(n_descs, _DESC_FLOATS).astype(np.float64)
-            db._publish(fid, _record_descriptors(record, fid),
-                        record[:, 18:21], record[:, 9:18])
+            ).reshape(n_descs, _DESC_FLOATS)
+            if not np.isfinite(record).all():
+                raise MalformedRecord(f"{path}: frame {fid} holds a NaN or infinite value")
+            db.insert_frame(fid, DescriptorFrame(record[:, 0:9].reshape(-1, 3, 3),
+                                                 record[:, 9:18].reshape(-1, 3, 3),
+                                                 record[:, 18:21], fid))
         if offset != len(raw):
             raise MalformedRecord(
                 f"{path}: {len(raw) - offset} trailing bytes after the last frame"

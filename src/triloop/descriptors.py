@@ -6,6 +6,9 @@ Vertices are relabeled so the side lengths come out ascending
 two matched triangles without enumerating permutations. Triangles that are
 tiny, near-degenerate, or repeat an already-emitted quantized side triple
 are dropped.
+
+A keyframe's descriptors are one ``DescriptorFrame`` of columns, from
+``build_descriptors`` through the database, verification and snapshots.
 """
 
 from __future__ import annotations
@@ -28,30 +31,60 @@ DEDUP_RESOLUTION = 0.01    # meters; side triples equal at this grid are duplica
 
 @dataclass(frozen=True)
 class TriangleDescriptor:
-    """Triangle of key points with per-vertex plane normals, sides ascending."""
+    """One row of a DescriptorFrame: a triangle of key points with per-vertex
+    plane normals, sides ascending."""
 
     vertices: np.ndarray  # (3, 3) rows p1, p2, p3
     normals: np.ndarray   # (3, 3) rows n1, n2, n3
-    sides: tuple[float, float, float]  # (l12, l23, l13), ascending
+    sides: np.ndarray     # (3,) l12, l23, l13, ascending
     frame_id: int
 
-    @property
-    def centroid(self) -> np.ndarray:
-        return self.vertices.mean(axis=0)
 
-    def signature(self) -> np.ndarray:
-        """Six rigid-invariant attributes: three sides, three |normal dots|."""
-        n1, n2, n3 = self.normals
-        return np.array(
-            [
-                self.sides[0],
-                self.sides[1],
-                self.sides[2],
-                abs(float(n1 @ n2)),
-                abs(float(n2 @ n3)),
-                abs(float(n1 @ n3)),
-            ]
-        )
+@dataclass(frozen=True, eq=False)
+class DescriptorFrame:
+    """One keyframe's descriptors as float64 columns, a row per triangle.
+
+    An integer index gives that row as a ``TriangleDescriptor``; a slice, a
+    mask or an index array gives a frame of those rows.
+    """
+
+    vertices: np.ndarray  # (M, 3, 3)
+    normals: np.ndarray   # (M, 3, 3)
+    sides: np.ndarray     # (M, 3)
+    frame_id: int
+
+    @classmethod
+    def empty(cls, frame_id: int) -> DescriptorFrame:
+        return cls(np.empty((0, 3, 3)), np.empty((0, 3, 3)), np.empty((0, 3)), frame_id)
+
+    def __len__(self) -> int:
+        return len(self.sides)
+
+    def __getitem__(self, index):
+        row_type = TriangleDescriptor if isinstance(index, (int, np.integer)) else DescriptorFrame
+        return row_type(self.vertices[index], self.normals[index], self.sides[index], self.frame_id)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
+@dataclass(frozen=True, eq=False)
+class DescriptorPairs:
+    """Matched descriptors as two aligned frames: row i of ``query`` matched
+    row i of ``stored``. Iteration gives (query row, stored row) tuples; a
+    mask or an index array gives the pairs of those rows."""
+
+    query: DescriptorFrame
+    stored: DescriptorFrame
+
+    def __len__(self) -> int:
+        return len(self.query)
+
+    def __getitem__(self, index) -> DescriptorPairs:
+        return DescriptorPairs(self.query[index], self.stored[index])
+
+    def __iter__(self):
+        return zip(self.query, self.stored)
 
 
 def _canonical_order(pts: np.ndarray) -> tuple[int, int, int]:
@@ -84,11 +117,11 @@ def build_descriptors(
     min_side: float = MIN_SIDE_LENGTH,
     degenerate_slack: float = DEGENERATE_SLACK,
     dedup_resolution: float = DEDUP_RESOLUTION,
-) -> list[TriangleDescriptor]:
+) -> DescriptorFrame:
     """Form deduplicated canonical triangles from key-point neighborhoods.
 
     Key points are processed in lexicographic position order, so the result
-    depends only on the key-point multiset. Output is sorted by side triple.
+    depends only on the key-point multiset. Rows are sorted by side triple.
 
     An anchor's neighbors are its k nearest as returned by cKDTree.query.
     When several points tie at the k-th distance, the ones kept are the
@@ -97,7 +130,7 @@ def build_descriptors(
     """
     if len(keypoints) < 3:
         log.warning("frame %d: %d key points, need 3 for descriptors", frame_id, len(keypoints))
-        return []
+        return DescriptorFrame.empty(frame_id)
 
     order = sorted(range(len(keypoints)), key=lambda i: tuple(keypoints[i].position))
     positions = np.array([keypoints[i].position for i in order])
@@ -105,7 +138,7 @@ def build_descriptors(
     m = len(positions)
     k = min(k_neighbors, m - 1)
     if k < 2:  # a triangle needs two neighbors besides its anchor
-        return []
+        return DescriptorFrame.empty(frame_id)
 
     tree = cKDTree(positions)
     # k+1 because the anchor is its own nearest neighbor
@@ -137,7 +170,7 @@ def build_descriptors(
     )
     idx, raw, lengths = idx[keep], raw[keep], lengths[keep]
     if not len(idx):
-        return []
+        return DescriptorFrame.empty(frame_id)
 
     # first occurrence per quantized side triple, in enumeration order
     quantized = np.round(lengths / dedup_resolution).astype(np.int64)
@@ -160,12 +193,9 @@ def build_descriptors(
     # sort by side triple; deduplication left no two rows with equal sides,
     # so the vertex coordinates never break a tie
     by_sides = np.lexsort(lengths.T[::-1])
-    return [
-        TriangleDescriptor(vertices=v, normals=n, sides=tuple(sides), frame_id=frame_id)
-        for v, n, sides in zip(
-            vertices[by_sides], vertex_normals[by_sides], lengths[by_sides].tolist()
-        )
-    ]
+    return DescriptorFrame(
+        vertices[by_sides], vertex_normals[by_sides], lengths[by_sides], frame_id
+    )
 
 
 # local vertex order (of [anchor, i, j]) indexed by (smallest side, largest

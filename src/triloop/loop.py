@@ -19,7 +19,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .database import Candidate
-from .descriptors import TriangleDescriptor
+from .descriptors import DescriptorPairs
 from .errors import (
     EmptyPlaneList,
     InsufficientOverlap,
@@ -41,7 +41,6 @@ INLIER_CHUNK = 1 << 18  # (vertex, hypothesis) distances per inlier-count step; 
 
 MODES = ("first", "best")  # loop selection rules, see select_loop
 
-PairList = list[tuple[TriangleDescriptor, TriangleDescriptor]]
 Scored = TypeVar("Scored")  # ScoredCandidate or a saved CandidateScoreRow
 
 
@@ -59,28 +58,28 @@ class ScoredCandidate:
 
 
 def ransac_transform(
-    pairs: PairList,
+    pairs: DescriptorPairs,
     iterations: int = 100,
     inlier_tol: float = 0.5,
     rng: np.random.Generator | None = None,
-) -> tuple[RigidTransform, PairList]:
+) -> tuple[RigidTransform, DescriptorPairs]:
     """Robust transform from matched triangle pairs.
 
     Each iteration solves the closed-form alignment of one sampled pair's
     three vertices, then counts pairs whose vertices all land within
-    inlier_tol. The best iteration's inliers are re-solved jointly.
+    inlier_tol. The best iteration's inliers are re-solved jointly and
+    returned as pairs.
 
     All samples are drawn and solved in one batch, and inliers are counted
     for all hypotheses at once, a chunk of pairs at a time; the result,
     including the generator's state afterwards, is that of solving and
     counting one iteration after another.
     """
-    if not pairs:
+    if not len(pairs):
         raise NoValidTransform("no matched pairs to verify")
     rng = np.random.default_rng(0) if rng is None else rng
 
-    src_tris = np.concatenate([q.vertices for q, _ in pairs]).reshape(-1, 3, 3)
-    dst_tris = np.concatenate([s.vertices for _, s in pairs]).reshape(-1, 3, 3)
+    src_tris, dst_tris = pairs.query.vertices, pairs.stored.vertices
 
     picks = rng.integers(len(pairs), size=max(iterations, 0))
     picks = picks[~collinear_triples(src_tris[picks])]  # degenerate samples are skipped
@@ -96,7 +95,7 @@ def ransac_transform(
             f"best sample has {best_count} inlier pairs, need {MIN_INLIER_PAIRS}"
         )
     best_mask = _inlier_mask(src_tris, dst_tris, R[best], t[best], inlier_tol)
-    inliers = [p for p, keep in zip(pairs, best_mask) if keep]
+    inliers = pairs[best_mask]
     refined = solve_rigid_svd(
         Correspondences3(src_tris[best_mask].reshape(-1, 3), dst_tris[best_mask].reshape(-1, 3))
     )
@@ -223,7 +222,7 @@ def score_candidates(
         if cand.votes >= min_votes and planes and current_planes:
             try:
                 transform, inliers = ransac_transform(
-                    list(cand.pairs), iterations=iterations, inlier_tol=inlier_tol, rng=rng
+                    cand.pairs, iterations=iterations, inlier_tol=inlier_tol, rng=rng
                 )
                 overlap = plane_overlap(
                     current_planes, planes, transform, sigma_n=sigma_n, sigma_d=sigma_d

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .database import DescriptorDatabase
-from .descriptors import TriangleDescriptor, build_descriptors
+from .descriptors import DescriptorFrame, build_descriptors
 from .errors import ConfigError, EmptyPlaneList, InsufficientOverlap
 from .geometry import RigidTransform
 from .ingest import voxel_downsample
@@ -116,7 +116,7 @@ class FrameExtraction:
     frame_id: int
     planes: list[Plane]
     keypoints: list[KeyPoint]
-    descriptors: list[TriangleDescriptor]
+    descriptors: DescriptorFrame
     n_plane_voxels: int = 0
 
 

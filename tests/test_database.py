@@ -4,17 +4,13 @@ import struct
 import numpy as np
 import pytest
 
-from triloop.database import (
-    DescriptorDatabase,
-    frame_keys,
-    frame_signatures,
-    make_key,
-    quantize,
-)
-from triloop.descriptors import TriangleDescriptor, build_descriptors
+from triloop.database import DescriptorDatabase, frame_keys, frame_signatures
+from triloop.descriptors import DescriptorFrame, TriangleDescriptor, build_descriptors
 from triloop.errors import DuplicateFrame, MalformedRecord
 from triloop.geometry import RigidTransform, random_rotation
 from triloop.keypoints import KeyPoint
+
+from scalar_descriptors import centroid, make_key, quantize, signature, stack_frame
 
 
 def synth_descriptor(rng, frame_id, side_range=(1.0, 30.0), structured_normals=False):
@@ -50,9 +46,10 @@ def synth_descriptor(rng, frame_id, side_range=(1.0, 30.0), structured_normals=F
 
 
 def synth_frame(rng, frame_id, n, side_range=(1.0, 30.0), structured_normals=False):
-    return [
-        synth_descriptor(rng, frame_id, side_range, structured_normals) for _ in range(n)
-    ]
+    return stack_frame(
+        [synth_descriptor(rng, frame_id, side_range, structured_normals) for _ in range(n)],
+        frame_id,
+    )
 
 
 def transformed(d: TriangleDescriptor, t: RigidTransform) -> TriangleDescriptor:
@@ -72,7 +69,7 @@ def transformed(d: TriangleDescriptor, t: RigidTransform) -> TriangleDescriptor:
 def brute_force_votes(stored, queries, delta_l, delta_n, excluded=()):
     """Oracle: O(N^2) quantized-signature comparison, no hash table."""
     def cells(d):
-        sig = d.signature()
+        sig = signature(d)
         return tuple(
             quantize(sig[i], delta_l if i < 3 else delta_n) for i in range(6)
         )
@@ -115,12 +112,12 @@ class TestMakeKey:
             t = RigidTransform(random_rotation(rng), rng.uniform(-20, 20, 3))
             moved = transformed(d, t)
             # skip signatures within float noise of a quantization boundary
-            sig = d.signature()
+            sig = signature(d)
             deltas = [0.2] * 3 + [0.1] * 3
             margins = [abs(s / dl - round(s / dl)) for s, dl in zip(sig, deltas)]
             if min(margins) < 1e-6:
                 continue
-            assert make_key(sig, 0.2, 0.1) == make_key(moved.signature(), 0.2, 0.1)
+            assert make_key(sig, 0.2, 0.1) == make_key(signature(moved), 0.2, 0.1)
 
 
 class TestInsert:
@@ -133,7 +130,7 @@ class TestInsert:
 
     def test_empty_insert_counts_frame(self):
         db = DescriptorDatabase()
-        db.insert_frame(0, [])
+        db.insert_frame(0, DescriptorFrame.empty(0))
         assert db.frames_indexed == 1
         assert db.descriptors_indexed == 0
 
@@ -142,7 +139,7 @@ class TestInsert:
         db = DescriptorDatabase()
         db.insert_frame(0, synth_frame(rng, 0, 5))
         with pytest.raises(DuplicateFrame):
-            db.insert_frame(0, [])
+            db.insert_frame(0, DescriptorFrame.empty(0))
 
     def test_wrong_frame_id_rejected(self):
         rng = np.random.default_rng(3)
@@ -198,10 +195,7 @@ class TestQuery:
         db = DescriptorDatabase()
         frame = synth_frame(rng, 0, 20)
         db.insert_frame(0, frame)
-        clone = [
-            TriangleDescriptor(d.vertices, d.normals, d.sides, frame_id=1) for d in frame
-        ]
-        db.insert_frame(1, clone)
+        db.insert_frame(1, dataclasses.replace(frame, frame_id=1))
         candidates = db.query_candidates(frame, skip_recent=1)
         assert [c.frame_id for c in candidates] == [0]
         assert db.query_candidates(frame, skip_recent=2) == []
@@ -221,10 +215,8 @@ class TestQuery:
         db = DescriptorDatabase()
         d = synth_descriptor(rng, 0)
         for f in range(15):
-            db.insert_frame(
-                f, [TriangleDescriptor(d.vertices, d.normals, d.sides, frame_id=f)]
-            )
-        cands = db.query_candidates([d], skip_recent=0)
+            db.insert_frame(f, stack_frame([d], f))
+        cands = db.query_candidates(stack_frame([d], 99), skip_recent=0)
         assert len(cands) == 10
         votes = [c.votes for c in cands]
         assert votes == sorted(votes, reverse=True)
@@ -269,9 +261,9 @@ class TestPersistence:
     def test_empty_frames_survive_round_trip(self, tmp_path):
         rng = np.random.default_rng(13)
         db = DescriptorDatabase()
-        db.insert_frame(0, [])
+        db.insert_frame(0, DescriptorFrame.empty(0))
         db.insert_frame(1, synth_frame(rng, 1, 3))
-        db.insert_frame(2, [])
+        db.insert_frame(2, DescriptorFrame.empty(2))
         path = tmp_path / "db.bin"
         db.save(path)
         loaded = DescriptorDatabase.load(path)
@@ -290,10 +282,7 @@ def test_concurrent_readers_never_see_partial_frames():
     # every frame is an exact signature copy of frame 0, so each query
     # descriptor matches every fully inserted frame
     base = frames[0]
-    frames = [
-        [TriangleDescriptor(d.vertices, d.normals, d.sides, frame_id=f) for d in base]
-        for f in range(30)
-    ]
+    frames = [dataclasses.replace(base, frame_id=f) for f in range(30)]
     db = DescriptorDatabase()
     violations = []
     done = threading.Event()
@@ -330,10 +319,14 @@ def keypoint_frame(rng, frame_id, n_keypoints=40):
     return build_descriptors(kps, k_neighbors=10, frame_id=frame_id)
 
 
-def stacked(descriptors):
-    return (
-        np.array([d.sides for d in descriptors]),
-        np.array([d.normals for d in descriptors]),
+def key(d, db):
+    """The reference hash key of one row under db's resolutions."""
+    return make_key(signature(d), db.delta_l, db.delta_n)
+
+
+def same_row(a, b) -> bool:
+    return all(
+        np.array_equal(getattr(a, f), getattr(b, f)) for f in ("vertices", "normals", "sides")
     )
 
 
@@ -351,9 +344,9 @@ class TestFrameKeys:
         # the vectorized normal dot products must round exactly like the
         # scalar ``n1 @ n2``; einsum differs in the last ulp on a third of them
         rng = np.random.default_rng(20)
-        frame = keypoint_frame(rng, 0) + synth_frame(rng, 0, 500)
-        got = frame_signatures(*stacked(frame))
-        expected = np.array([d.signature() for d in frame])
+        frame = stack_frame(list(keypoint_frame(rng, 0)) + list(synth_frame(rng, 0, 500)), 0)
+        got = frame_signatures(frame.sides, frame.normals)
+        expected = np.array([signature(d) for d in frame])
         assert got.shape == (len(frame), 6)
         assert np.array_equal(got, expected)
 
@@ -361,7 +354,7 @@ class TestFrameKeys:
         rng = np.random.default_rng(21)
         frame = keypoint_frame(rng, 0)
         assert len(frame) > 500
-        signatures = frame_signatures(*stacked(frame))
+        signatures = frame_signatures(frame.sides, frame.normals)
         assert_keys_match_make_key(signatures, 0.2, 0.1)
         assert_keys_match_make_key(signatures, 0.25, 0.05)
 
@@ -389,17 +382,17 @@ class TestFrameKeys:
         layouts = {
             "fortran": np.asfortranarray,
             "transposed view": lambda n: n.T.copy().T,
-            "row view": lambda n: np.vstack([n, n])[:3],
+            "row view": lambda n: np.concatenate([n, n], axis=1)[:, :3],
             "nested lists": lambda n: n.tolist(),
         }
-        expected = [make_key(d.signature(), 0.2, 0.1) for d in frame]
+        expected = [make_key(signature(d), 0.2, 0.1) for d in frame]
         for name, layout in layouts.items():
             db = DescriptorDatabase()
-            moved = [TriangleDescriptor(d.vertices, layout(d.normals), d.sides, 0) for d in frame]
+            moved = dataclasses.replace(frame, normals=layout(frame.normals))
             db.insert_frame(0, moved)
             votes = db.vote_counts(frame)
             assert votes == {0: len(frame)}, name
-            _, buckets = frame_keys(frame_signatures(*stacked(moved)), 0.2, 0.1)
+            _, buckets = frame_keys(frame_signatures(moved.sides, moved.normals), 0.2, 0.1)
             assert [k.bucket for k in expected] == buckets.tolist(), name
 
     def test_non_finite_signature_rejected(self):
@@ -418,14 +411,15 @@ class TestVoteKernel:
             return TriangleDescriptor(d.vertices + offset, d.normals, d.sides, frame_id)
 
         db = DescriptorDatabase()
-        db.insert_frame(0, [other[0], copy(1.0, 0), other[1], copy(2.0, 0), other[2]])
-        db.insert_frame(1, [copy(3.0, 1), copy(4.0, 1)])
-        query = [TriangleDescriptor(d.vertices, d.normals, d.sides, frame_id=9)]
+        stored = [other[0], copy(1.0, 0), other[1], copy(2.0, 0), other[2]]
+        db.insert_frame(0, stack_frame(stored, 0))
+        db.insert_frame(1, stack_frame([copy(3.0, 1), copy(4.0, 1)], 1))
+        query = stack_frame([d], 9)
         cands = db.query_candidates(query, skip_recent=0)
         assert [(c.frame_id, c.votes) for c in cands] == [(0, 1), (1, 1)]
         [(q0, s0)] = cands[0].pairs
         [(q1, s1)] = cands[1].pairs
-        assert q0 is query[0] and q1 is query[0]
+        assert same_row(q0, d) and same_row(q1, d)
         assert np.array_equal(s0.vertices, d.vertices + 1.0)
         assert np.array_equal(s1.vertices, d.vertices + 3.0)
 
@@ -440,14 +434,15 @@ class TestVoteKernel:
         query = synth_frame(rng, 99, 60, side_range=(1.0, 4.0), structured_normals=True)
         cands = db.query_candidates(query, skip_recent=3)
         assert cands
-        position = {id(q): i for i, q in enumerate(query)}
+        position = {q.sides.tobytes(): i for i, q in enumerate(query)}
+        assert len(position) == len(query)  # sides identify a query row
         for c in cands:
             assert len(c.pairs) == c.votes
-            rows = [position[id(q)] for q, _ in c.pairs]
+            rows = [position[q.sides.tobytes()] for q, _ in c.pairs]
             assert rows == sorted(set(rows))  # one pair per query row, in order
             for q, s in c.pairs:
                 assert s.frame_id == c.frame_id
-                assert db.key_for(q) == db.key_for(s)
+                assert key(q, db) == key(s, db)
         expected = brute_force_votes(stored, query, db.delta_l, db.delta_n,
                                      excluded={12, 13, 14})
         assert db.vote_counts(query, skip_recent=3) == expected
@@ -460,14 +455,14 @@ class TestVoteKernel:
         db = DescriptorDatabase()
         frames = {}
         for f in range(60):
-            frame = synth_frame(rng, f, int(rng.integers(0, 25)),
-                                side_range=(1.0, 4.0), structured_normals=True)
+            frame = list(synth_frame(rng, f, int(rng.integers(0, 25)),
+                                     side_range=(1.0, 4.0), structured_normals=True))
             frame += [dataclasses.replace(shared[i], frame_id=f)
                       for i in rng.integers(0, len(shared), size=int(rng.integers(0, 4)))]
             frames[f] = [frame[i] for i in rng.permutation(len(frame))]
-            db.insert_frame(f, frames[f])
-        query = shared + synth_frame(rng, 99, 30, side_range=(1.0, 4.0),
-                                     structured_normals=True)
+            db.insert_frame(f, stack_frame(frames[f], f))
+        query = stack_frame(list(shared) + list(synth_frame(rng, 99, 30, side_range=(1.0, 4.0),
+                                                            structured_normals=True)), 99)
         stored = [d for frame in frames.values() for d in frame]
         for skip in (0, 5):
             expected = brute_force_votes(stored, query, db.delta_l, db.delta_n,
@@ -478,8 +473,8 @@ class TestVoteKernel:
         for c in cands:
             assert len(c.pairs) == c.votes
             for q, s in c.pairs:
-                partner = next(d for d in frames[c.frame_id] if db.key_for(d) == db.key_for(q))
-                assert s is partner
+                partner = next(d for d in frames[c.frame_id] if key(d, db) == key(q, db))
+                assert same_row(s, partner)
 
     def test_empty_query_and_empty_database(self):
         rng = np.random.default_rng(25)
@@ -488,8 +483,8 @@ class TestVoteKernel:
         assert db.query_candidates(query) == []
         assert db.vote_counts(query) == {}
         db.insert_frame(0, synth_frame(rng, 0, 5))
-        assert db.query_candidates([]) == []
-        assert db.vote_counts([]) == {}
+        assert db.query_candidates(DescriptorFrame.empty(1)) == []
+        assert db.vote_counts(DescriptorFrame.empty(1)) == {}
 
 
 def reference_v1_snapshot(delta_l, delta_n, frames):
@@ -499,7 +494,7 @@ def reference_v1_snapshot(delta_l, delta_n, frames):
         chunks.append(struct.pack("<qQ", fid, len(descs)))
         for d in descs:
             values = np.concatenate(
-                [d.vertices.ravel(), d.normals.ravel(), np.asarray(d.sides), d.centroid]
+                [d.vertices.ravel(), d.normals.ravel(), np.asarray(d.sides), centroid(d)]
             )
             chunks.append(struct.pack("<24d", *values))
     return b"".join(chunks)
@@ -510,7 +505,7 @@ class TestSnapshotFormat:
         rng = np.random.default_rng(26)
         frames = [
             (7, synth_frame(rng, 7, 30)),
-            (3, []),
+            (3, DescriptorFrame.empty(3)),
             (-2, keypoint_frame(rng, -2, n_keypoints=12)),
         ]
         db = DescriptorDatabase(delta_l=0.25, delta_n=0.05)
@@ -551,4 +546,16 @@ class TestSnapshotFormat:
         path = tmp_path / "db.bin"
         path.write_bytes(raw[:12] + struct.pack("<d", float("nan")) + raw[20:])
         with pytest.raises(MalformedRecord):
+            DescriptorDatabase.load(path)
+
+    @pytest.mark.parametrize("column, value", [(18, float("nan")), (0, float("inf"))],
+                             ids=["nan side", "inf vertex"])
+    def test_non_finite_value_rejected(self, tmp_path, column, value):
+        # a NaN side would fail key computation, an infinite vertex would
+        # load silently and reach RANSAC
+        _, raw = self.make_db()
+        at = 8 + 28 + 16 + 8 * column  # magic, header, frame header, then the first row
+        path = tmp_path / "db.bin"
+        path.write_bytes(raw[:at] + struct.pack("<d", value) + raw[at + 8:])
+        with pytest.raises(MalformedRecord, match="NaN or infinite"):
             DescriptorDatabase.load(path)

@@ -3,9 +3,11 @@ from itertools import permutations
 import numpy as np
 from scipy.spatial import cKDTree
 
-from triloop.descriptors import build_descriptors
+from triloop.descriptors import DescriptorFrame, build_descriptors
 from triloop.geometry import RigidTransform, random_rotation
 from triloop.keypoints import KeyPoint
+
+from scalar_descriptors import centroid, signature
 
 
 def make_kps(positions, normals=None, frame_id=0):
@@ -146,7 +148,9 @@ def test_equidistant_neighbors_follow_the_kd_tree():
 
 
 def test_too_few_keypoints_yield_empty():
-    assert build_descriptors(make_kps([[0, 0, 0], [1, 0, 0]]), 20) == []
+    empty = build_descriptors(make_kps([[0, 0, 0], [1, 0, 0]]), 20, frame_id=4)
+    assert isinstance(empty, DescriptorFrame) and len(empty) == 0 and empty.frame_id == 4
+    assert empty.vertices.shape == (0, 3, 3) and empty.sides.shape == (0, 3)
 
 
 def test_canonical_side_order_and_vertex_consistency():
@@ -160,7 +164,7 @@ def test_canonical_side_order_and_vertex_consistency():
         assert abs(np.linalg.norm(p2 - p3) - l23) < 1e-9
         assert abs(np.linalg.norm(p1 - p3) - l13) < 1e-9
         assert l12 + l23 > l13 + 0.1
-        assert np.allclose(d.centroid, d.vertices.mean(axis=0), atol=1e-12)
+        assert np.allclose(centroid(d), (p1 + p2 + p3) / 3, atol=1e-12)
 
 
 def test_no_duplicate_quantized_triples():
@@ -191,7 +195,7 @@ class TestSignature:
         s = 2.0
         pts = np.array([[0, 0, 0], [s, 0, 0], [s / 2, s * np.sqrt(3) / 2, 0]])
         [d] = build_descriptors(make_kps(pts), 20)
-        sig = d.signature()
+        sig = signature(d)
         assert np.allclose(sig[:3], s, atol=1e-12)
         assert np.allclose(sig[3:], 1.0, atol=1e-12)
 
@@ -199,7 +203,7 @@ class TestSignature:
         pts = np.array([[0, 0, 0], [3, 0, 0], [3, 4, 0]])
         normals = np.array([[0, 0, 1.0], [0, 0, 1.0], [1.0, 0, 0]])
         [d] = build_descriptors(make_kps(pts, normals), 20)
-        sig = d.signature()
+        sig = signature(d)
         assert np.count_nonzero(np.abs(sig[3:]) < 1e-12) == 2
 
     def test_rigid_invariance(self):
@@ -216,11 +220,11 @@ class TestSignature:
                 make_kps(t.apply(pts), (t.R @ normals.T).T), 20
             )
             assert len(moved) == len(base) == 1
-            assert np.max(np.abs(base[0].signature() - moved[0].signature())) < 1e-9
+            assert np.max(np.abs(signature(base[0]) - signature(moved[0]))) < 1e-9
 
     def test_sign_flipped_normals_same_signature(self):
         pts = np.array([[0, 0, 0], [3, 0, 0], [3, 4, 0]])
         normals = np.array([[0.6, 0.8, 0], [0, 0, 1.0], [1.0, 0, 0]])
         [a] = build_descriptors(make_kps(pts, normals), 20)
         [b] = build_descriptors(make_kps(pts, -normals), 20)
-        assert np.allclose(a.signature(), b.signature(), atol=1e-12)
+        assert np.allclose(signature(a), signature(b), atol=1e-12)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from triloop.loop import (
 from triloop.pipeline import FrameExtraction, MatchingSession, PipelineConfig
 from triloop.planes import Plane
 
+from scalar_descriptors import stack_frame, stack_pairs
 from test_database import synth_descriptor, transformed
 from test_geometry import scalar_kabsch
 
@@ -73,7 +76,7 @@ class TestRansac:
     def test_recovers_transform_from_consistent_pairs(self):
         rng = np.random.default_rng(0)
         truth = RigidTransform(random_rotation(rng), rng.uniform(-10, 10, 3))
-        pairs = planted_pairs(rng, 12, truth)
+        pairs = stack_pairs(planted_pairs(rng, 12, truth))
         got, inliers = ransac_transform(pairs, iterations=100, inlier_tol=0.5, rng=rng)
         assert np.linalg.norm(got.R - truth.R) < 1e-6
         assert np.linalg.norm(got.t - truth.t) < 1e-6
@@ -84,21 +87,21 @@ class TestRansac:
         truth = RigidTransform(rotation_about_axis([0, 0, 1], 2.5), np.array([5.0, -3.0, 1.0]))
         good = planted_pairs(rng, 10, truth)
         bad = scrambled_pairs(rng, 10)
-        pairs = good + bad
+        pairs = stack_pairs(good + bad)
         got, inliers = ransac_transform(pairs, iterations=100, inlier_tol=0.5, rng=rng)
         assert rotation_angle_deg(truth.R.T @ got.R) < 0.01
         assert np.linalg.norm(got.t - truth.t) < 1e-3
-        assert sorted(id(p[0]) for p in inliers) == sorted(id(p[0]) for p in good)
+        assert np.array_equal(inliers.query.vertices, stack_pairs(good).query.vertices)
 
     def test_single_pair_is_not_enough(self):
         rng = np.random.default_rng(2)
-        pairs = planted_pairs(rng, 1, RigidTransform.identity())
+        pairs = stack_pairs(planted_pairs(rng, 1, RigidTransform.identity()))
         with pytest.raises(NoValidTransform):
             ransac_transform(pairs, iterations=10, inlier_tol=0.5, rng=rng)
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(NoValidTransform):
-            ransac_transform([], rng=np.random.default_rng(0))
+            ransac_transform(stack_pairs([]), rng=np.random.default_rng(0))
 
     def test_high_outlier_fraction_success_rate(self):
         # planted inliers >= 60%: recovery must be overwhelmingly reliable
@@ -106,7 +109,7 @@ class TestRansac:
         successes = 0
         for _ in range(100):
             truth = RigidTransform(random_rotation(rng), rng.uniform(-10, 10, 3))
-            pairs = planted_pairs(rng, 12, truth) + scrambled_pairs(rng, 8)
+            pairs = stack_pairs(planted_pairs(rng, 12, truth) + scrambled_pairs(rng, 8))
             try:
                 got, _ = ransac_transform(pairs, iterations=100, inlier_tol=0.5, rng=rng)
             except NoValidTransform:
@@ -151,13 +154,15 @@ def scalar_ransac(pairs, iterations=100, inlier_tol=0.5, rng=None):
 
 
 def ransac_outcome(fn, pairs, seed, **kwargs):
-    """Bits of the transform, inlier identities and the generator state after."""
+    """Bits of the transform, of the inlier pairs' vertices and the generator
+    state after."""
     rng = np.random.default_rng(seed)
     try:
         got, inliers = fn(pairs, rng=rng, **kwargs)
     except NoValidTransform as exc:
         return ("no transform", str(exc), rng.bit_generator.state)
-    return (got.R.tobytes(), got.t.tobytes(), [id(p) for p in inliers], rng.bit_generator.state)
+    inlier_bits = [(q.vertices.tobytes(), s.vertices.tobytes()) for q, s in inliers]
+    return (got.R.tobytes(), got.t.tobytes(), inlier_bits, rng.bit_generator.state)
 
 
 def with_vertices(d: TriangleDescriptor, vertices) -> TriangleDescriptor:
@@ -190,9 +195,10 @@ def boundary_pairs(rng, n, t: RigidTransform, tol):
 
 class TestBatchedRansacMatchesScalar:
     def assert_same(self, pairs, seeds=range(5), **kwargs):
+        stacked = stack_pairs(pairs)
         for seed in seeds:
             expected = ransac_outcome(scalar_ransac, pairs, seed, **kwargs)
-            assert ransac_outcome(ransac_transform, pairs, seed, **kwargs) == expected
+            assert ransac_outcome(ransac_transform, stacked, seed, **kwargs) == expected
         return expected
 
     def test_planted_and_scrambled(self):
@@ -309,10 +315,10 @@ class TestPlaneOverlap:
 
 def build_verification_scene(rng, n_desc=25, n_planes=60):
     """One stored frame plus a query that is an exact copy of it."""
-    stored = [place_randomly(rng, synth_descriptor(rng, 0)) for _ in range(n_desc)]
-    query = [
-        TriangleDescriptor(d.vertices, d.normals, d.sides, frame_id=1) for d in stored
-    ]
+    stored = stack_frame(
+        [place_randomly(rng, synth_descriptor(rng, 0)) for _ in range(n_desc)], 0
+    )
+    query = dataclasses.replace(stored, frame_id=1)
     planes = random_planes(rng, n_planes)
     db = DescriptorDatabase()
     db.insert_frame(0, stored)
@@ -334,9 +340,7 @@ class TestVerifyLoop:
         store = {0: planes}
         for copies in (1, 2):
             if copies == 2:  # an identical second frame ties at overlap 1.0
-                db.insert_frame(2, [
-                    TriangleDescriptor(d.vertices, d.normals, d.sides, frame_id=2) for d in query
-                ])
+                db.insert_frame(2, dataclasses.replace(query, frame_id=2))
                 store[2] = planes
             candidates = db.query_candidates(query, skip_recent=0)
             assert [c.frame_id for c in candidates] == sorted(store)
@@ -351,7 +355,9 @@ class TestVerifyLoop:
     def test_no_geometry_match_returns_none(self):
         rng = np.random.default_rng(11)
         db, query, planes = build_verification_scene(rng)
-        unrelated = [place_randomly(rng, synth_descriptor(rng, 1)) for _ in range(25)]
+        unrelated = stack_frame(
+            [place_randomly(rng, synth_descriptor(rng, 1)) for _ in range(25)], 1
+        )
         candidates = db.query_candidates(unrelated, skip_recent=0)
         loop = select_verified(candidates, planes, {0: planes}, sigma_pc=0.5)
         assert loop is None
@@ -396,19 +402,14 @@ class TestVerifyLoop:
     def test_output_transform_maps_inlier_triangles_within_tolerance(self):
         rng = np.random.default_rng(18)
         truth = RigidTransform(random_rotation(rng), rng.uniform(-8, 8, 3))
-        stored = [transformed(place_randomly(rng, synth_descriptor(rng, 0)), truth)
-                  for _ in range(25)]
+        stored = stack_frame([transformed(place_randomly(rng, synth_descriptor(rng, 0)), truth)
+                              for _ in range(25)], 0)
         # query vertices are the stored ones pulled back through the truth
         inv = truth.inverse()
-        query = [
-            TriangleDescriptor(
-                vertices=d.vertices @ inv.R.T + inv.t,
-                normals=d.normals @ inv.R.T,
-                sides=d.sides,
-                frame_id=1,
-            )
-            for d in stored
-        ]
+        query = dataclasses.replace(
+            stored, vertices=stored.vertices @ inv.R.T + inv.t,
+            normals=stored.normals @ inv.R.T, frame_id=1,
+        )
         planes = random_planes(rng, 50)
         db = DescriptorDatabase()
         db.insert_frame(0, stored)

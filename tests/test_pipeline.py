@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -130,13 +131,19 @@ def test_every_export_resolves():
     assert missing == []
 
 
-def _load_tracer():
-    """perfbench/tracer.py, loaded from its file without touching it."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_perfbench(name):
+    """perfbench/<name>.py, loaded from its file without touching it."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracer():
+    return _load_perfbench("tracer")
 
 
 def test_tracer_targets_resolve():
@@ -168,3 +175,67 @@ def test_tracer_counts_front_half(keyframes):
     assert counts["planes.planes"] == len(extraction.planes) > 0
     assert counts["keypoints.count"] == len(extraction.keypoints) > 0
     assert counts["ingest.points_out"] < counts["ingest.points_in"] == len(keyframes[0].cloud)
+
+
+def test_tracer_counts_back_half(keyframes):
+    tracer_module = _load_tracer()
+    tracer = tracer_module.Tracer()
+    session = MatchingSession(PipelineConfig(skip_recent=2, n_accumulate=6, gt_radius=25.0))
+    tracer.install()
+    try:
+        outcomes = [session.process_keyframe(kf.id, kf.cloud) for kf in keyframes]
+    finally:
+        tracer.uninstall()
+    counts = tracer.metrics()
+    scored = [s for o in outcomes for s in o.scored]
+    verified = [s for s in scored if s.transform is not None]
+    assert counts["descriptors.count"] == sum(len(o.extraction.descriptors) for o in outcomes) > 0
+    assert counts["database.candidates"] == len(scored) > 0
+    assert counts["database.pairs"] == sum(s.votes for s in scored) > 0
+    assert counts["database.descriptors_indexed"] == session.db.descriptors_indexed
+    assert counts["loop.ransac_calls"] >= len(verified) > 0
+    assert counts["loop.accepted"] == sum(o.loop is not None for o in outcomes) > 0
+    inliers = sum(s.inlier_pairs for s in verified)
+    assert counts["loop.inlier_ratio"] == inliers / tracer.counts["loop.pairs_in"] > 0
+
+
+def test_db_churn_checks_hold_on_the_library(monkeypatch, tmp_path):
+    # db_churn's own checks (vote oracle, one pair per vote, snapshot answers)
+    # read descriptor frames and candidate pairs; run them on three frames
+    # db_churn imports its helpers as the top-level module ``common``
+    spec = importlib.util.spec_from_file_location("common", PERFBENCH / "common.py")
+    common = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "common", common)
+    spec.loader.exec_module(common)
+    churn = _load_perfbench("db_churn")
+    from triloop import database, descriptors, keypoints
+
+    cfg = PipelineConfig()
+    rng = np.random.default_rng(0)
+    keysets, frames = [], []
+    while len(frames) < 3:
+        fid = len(frames)
+        keyset = (churn.reobserve(rng, *keysets[0]) if fid == 2
+                  else churn.random_keypoints(rng, churn.KEYPOINTS))
+        frame = churn.make_frame(descriptors, keypoints, cfg, fid, *keyset)
+        if frame is not None:
+            keysets.append(keyset)
+            frames.append(frame)
+    assert [len(f) for f in frames] == [churn.FRAME_DESCRIPTORS] * 3
+
+    db = database.DescriptorDatabase(delta_l=cfg.delta_l, delta_n=cfg.delta_n)
+    oracle = churn.VoteOracle()
+    for fid, frame in enumerate(frames):
+        cells = churn.signature_cells(frame, cfg.delta_l, cfg.delta_n)
+        cands = churn._query_insert(db, fid, frame)
+        assert [(c.frame_id, c.votes) for c in cands] == oracle.query(cells)
+        assert all(len(c.pairs) == c.votes for c in cands)
+        oracle.add(fid, cells)
+    assert cands[0].frame_id == 0  # the re-observed frame leads
+
+    path = tmp_path / "db.snapshot"
+    db.save(path)
+    loaded = database.DescriptorDatabase.load(path)
+    answer = db.query_candidates(frames[2], skip_recent=0)
+    assert churn.same_answer(answer, loaded.query_candidates(frames[2], skip_recent=0))
+    assert not churn.same_answer(answer, answer[1:])
