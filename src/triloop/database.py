@@ -1,20 +1,21 @@
 """Hash-indexed descriptor store with vote-based candidate retrieval.
 
-Signatures are quantized componentwise and the six cells mixed into one
-64-bit bucket key. Stored descriptors are held column-wise, one row per
-descriptor in insertion order: its six cells, the insertion index of its
-frame and its row in that frame's ``DescriptorFrame``. The bucket index is
-two more columns, bucket keys and the rows they point to, cut into
-consecutive segments that are each sorted by key. An insert appends the new
-frame as a segment and merges the newest two segments (one in-place sort of
-the tail) while the older is at most twice the size of the newer, so
-segments shrink geometrically, there are at most log2(rows) + 1 of them, and
-a row is re-sorted O(log rows) times over its life. A query binary-searches
-each segment for its bucket keys and gathers every matching row in one step,
-so its cost follows the number of matches, not the length of a bucket. The
-full cell 6-tuple is compared on every lookup, so bucket collisions between
-distinct cells never produce false matches. Inserting a frame is atomic with
-respect to concurrent queries.
+A frame's signatures, computed once when the frame was built or loaded, are
+quantized componentwise and the six cells mixed into one 64-bit bucket key.
+Stored descriptors are held column-wise, one row per descriptor in insertion
+order: its six cells, the insertion index of its frame and its row in that
+frame's ``DescriptorFrame``. The bucket index is two more columns, bucket
+keys and the rows they point to, cut into consecutive segments that are each
+sorted by key. An insert appends the new frame as a segment and merges the
+newest two segments (one in-place sort of the tail) while the older is at
+most twice the size of the newer, so segments shrink geometrically, there
+are at most log2(rows) + 1 of them, and a row is re-sorted O(log rows) times
+over its life. A query binary-searches each segment for its bucket keys and
+gathers every matching row in one step, so its cost follows the number of
+matches, not the length of a bucket. The full cell 6-tuple is compared on
+every lookup, so bucket collisions between distinct cells never produce
+false matches. Inserting a frame is atomic with respect to concurrent
+queries.
 """
 
 from __future__ import annotations
@@ -45,22 +46,6 @@ _MIX_CONSTANTS = (
     0xFF51AFD7ED558CCD,
     0xC4CEB9FE1A85EC53,
 )
-
-
-def frame_signatures(sides: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """(M, 6) signatures from sides (M, 3) and vertex normals (M, 3, 3).
-
-    Equal bit for bit, row by row, to the scalar reference ``signature`` in
-    ``tests/scalar_descriptors.py``: the stacked matmul forms each normal dot
-    product the same way as the scalar ``n1 @ n2`` (einsum and
-    multiply-then-sum differ in the last ulp).
-    """
-    sides = np.asarray(sides, dtype=np.float64).reshape(-1, 3)
-    normals = np.asarray(normals, dtype=np.float64).reshape(-1, 3, 3)
-    left = normals[:, [0, 1, 0], None, :]    # n1, n2, n1 as (M, 3, 1, 3)
-    right = normals[:, [1, 2, 2], :, None]   # n2, n3, n3 as (M, 3, 3, 1)
-    dots = np.abs((left @ right)[:, :, 0, 0])
-    return np.hstack([sides, dots])
 
 
 def frame_keys(
@@ -156,8 +141,7 @@ class DescriptorDatabase:
         return self._descriptors_indexed
 
     def _keys(self, frame: DescriptorFrame) -> tuple[np.ndarray, np.ndarray]:
-        signatures = frame_signatures(frame.sides, frame.normals)
-        return frame_keys(signatures, self.delta_l, self.delta_n)
+        return frame_keys(frame.signatures, self.delta_l, self.delta_n)
 
     def insert_frame(self, frame_id: int, frame: DescriptorFrame) -> None:
         """Index one frame and make it visible to queries in one step."""
@@ -345,9 +329,11 @@ class DescriptorDatabase:
             ).reshape(n_descs, _DESC_FLOATS)
             if not np.isfinite(record).all():
                 raise MalformedRecord(f"{path}: frame {fid} holds a NaN or infinite value")
-            db.insert_frame(fid, DescriptorFrame(record[:, 0:9].reshape(-1, 3, 3),
-                                                 record[:, 9:18].reshape(-1, 3, 3),
-                                                 record[:, 18:21], fid))
+            if fid in db._frames:
+                raise MalformedRecord(f"{path}: frame {fid} appears more than once")
+            db.insert_frame(fid, DescriptorFrame.from_sides(record[:, 0:9].reshape(-1, 3, 3),
+                                                            record[:, 9:18].reshape(-1, 3, 3),
+                                                            record[:, 18:21], fid))
         if offset != len(raw):
             raise MalformedRecord(
                 f"{path}: {len(raw) - offset} trailing bytes after the last frame"

@@ -20,6 +20,7 @@ from itertools import permutations
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .cells import pack_cells
 from .keypoints import KeyPoint
 
 log = logging.getLogger(__name__)
@@ -40,29 +41,67 @@ class TriangleDescriptor:
     frame_id: int
 
 
+def frame_signatures(sides: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """(M, 6) signatures from sides (M, 3) and vertex normals (M, 3, 3): the
+    sides, then |n1.n2|, |n2.n3| and |n1.n3|.
+
+    Equal bit for bit, row by row, to the scalar reference ``signature`` in
+    ``tests/scalar_descriptors.py``: the stacked matmul forms each normal dot
+    product the same way as the scalar ``n1 @ n2`` (einsum and
+    multiply-then-sum differ in the last ulp).
+    """
+    sides = np.asarray(sides, dtype=np.float64).reshape(-1, 3)
+    normals = np.asarray(normals, dtype=np.float64).reshape(-1, 3, 3)
+    left = normals[:, [0, 1, 0], None, :]    # n1, n2, n1 as (M, 3, 1, 3)
+    right = normals[:, [1, 2, 2], :, None]   # n2, n3, n3 as (M, 3, 3, 1)
+    dots = np.abs((left @ right)[:, :, 0, 0])
+    return np.hstack([sides, dots])
+
+
 @dataclass(frozen=True, eq=False)
 class DescriptorFrame:
     """One keyframe's descriptors as float64 columns, a row per triangle.
 
-    An integer index gives that row as a ``TriangleDescriptor``; a slice, a
-    mask or an index array gives a frame of those rows.
+    ``signatures`` holds each row's six rigid-invariant attributes, the ones
+    the database quantizes: sides l12, l23, l13, then |n1.n2|, |n2.n3| and
+    |n1.n3|. It is computed once, by ``from_sides``, when a frame is built or
+    loaded; ``sides`` is a view of its first three columns. An integer index
+    gives that row as a ``TriangleDescriptor``; a slice, a mask or an index
+    array gives a frame of those rows, signatures included.
     """
 
-    vertices: np.ndarray  # (M, 3, 3)
-    normals: np.ndarray   # (M, 3, 3)
-    sides: np.ndarray     # (M, 3)
+    vertices: np.ndarray    # (M, 3, 3)
+    normals: np.ndarray     # (M, 3, 3)
+    signatures: np.ndarray  # (M, 6)
     frame_id: int
+
+    def __post_init__(self):
+        if self.signatures.shape[1:] != (6,):
+            raise ValueError(f"signatures must be (M, 6), got {self.signatures.shape}")
+
+    @classmethod
+    def from_sides(cls, vertices, normals, sides, frame_id: int) -> DescriptorFrame:
+        """The frame of the given columns, its signatures computed here."""
+        return cls(vertices, normals, frame_signatures(sides, normals), frame_id)
 
     @classmethod
     def empty(cls, frame_id: int) -> DescriptorFrame:
-        return cls(np.empty((0, 3, 3)), np.empty((0, 3, 3)), np.empty((0, 3)), frame_id)
+        return cls(np.empty((0, 3, 3)), np.empty((0, 3, 3)), np.empty((0, 6)), frame_id)
+
+    @property
+    def sides(self) -> np.ndarray:
+        """(M, 3) sides, ascending per row; a view of the signatures."""
+        return self.signatures[:, :3]
 
     def __len__(self) -> int:
-        return len(self.sides)
+        return len(self.signatures)
 
     def __getitem__(self, index):
-        row_type = TriangleDescriptor if isinstance(index, (int, np.integer)) else DescriptorFrame
-        return row_type(self.vertices[index], self.normals[index], self.sides[index], self.frame_id)
+        if isinstance(index, (int, np.integer)):
+            return TriangleDescriptor(self.vertices[index], self.normals[index],
+                                      self.signatures[index, :3], self.frame_id)
+        return DescriptorFrame(self.vertices[index], self.normals[index],
+                               self.signatures[index], self.frame_id)
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
@@ -132,9 +171,10 @@ def build_descriptors(
         log.warning("frame %d: %d key points, need 3 for descriptors", frame_id, len(keypoints))
         return DescriptorFrame.empty(frame_id)
 
-    order = sorted(range(len(keypoints)), key=lambda i: tuple(keypoints[i].position))
-    positions = np.array([keypoints[i].position for i in order])
-    normals = np.array([keypoints[i].normal for i in order])
+    positions = np.array([kp.position for kp in keypoints])
+    normals = np.array([kp.normal for kp in keypoints])
+    order = np.lexsort(positions.T[::-1])  # stable, like sorting position tuples
+    positions, normals = positions[order], normals[order]
     m = len(positions)
     k = min(k_neighbors, m - 1)
     if k < 2:  # a triangle needs two neighbors besides its anchor
@@ -149,53 +189,61 @@ def build_descriptors(
 
     # candidate vertex triples anchor-major, neighbor pairs in index order
     pair_a, pair_b = np.triu_indices(k, k=1)
-    idx = np.empty((m, len(pair_a), 3), dtype=np.int64)
-    idx[:, :, 0] = np.arange(m)[:, None]
-    idx[:, :, 1] = nbr[:, pair_a]
-    idx[:, :, 2] = nbr[:, pair_b]
-    idx = idx.reshape(-1, 3)
-
-    a, b, c = positions[idx[:, 0]], positions[idx[:, 1]], positions[idx[:, 2]]
-    raw = np.stack(
-        [
-            np.linalg.norm(a - b, axis=1),  # side {anchor, i}
-            np.linalg.norm(b - c, axis=1),  # side {i, j}
-            np.linalg.norm(a - c, axis=1),  # side {anchor, j}
-        ],
-        axis=1,
-    )
-    lengths = np.sort(raw, axis=1)
-    keep = (lengths[:, 0] >= min_side) & (
-        lengths[:, 0] + lengths[:, 1] - lengths[:, 2] > degenerate_slack
-    )
-    idx, raw, lengths = idx[keep], raw[keep], lengths[keep]
-    if not len(idx):
+    anchor = np.repeat(np.arange(m), len(pair_a))
+    first_nbr = nbr[:, pair_a].ravel()
+    second_nbr = nbr[:, pair_b].ravel()
+    dist = _distance_matrix(positions)
+    raw = (dist[anchor, first_nbr], dist[first_nbr, second_nbr], dist[anchor, second_nbr])
+    short, long_ = np.minimum(raw[0], raw[1]), np.maximum(raw[0], raw[1])
+    lengths = (np.minimum(short, raw[2]), np.maximum(short, np.minimum(long_, raw[2])),
+               np.maximum(long_, raw[2]))  # each row's sides, ascending
+    keep = np.flatnonzero((lengths[0] >= min_side)
+                          & (lengths[0] + lengths[1] - lengths[2] > degenerate_slack))
+    if not len(keep):
         return DescriptorFrame.empty(frame_id)
+    lengths = np.stack([col[keep] for col in lengths], axis=1)
 
-    # first occurrence per quantized side triple, in enumeration order
-    quantized = np.round(lengths / dedup_resolution).astype(np.int64)
-    by_triple = np.lexsort(quantized.T[::-1])  # stable: first occurrence leads each run
-    q = quantized[by_triple]
-    run_start = np.ones(len(q), dtype=bool)
-    run_start[1:] = np.any(q[1:] != q[:-1], axis=1)
-    first = np.sort(by_triple[run_start])
-    idx, raw, lengths = idx[first], raw[first], lengths[first]
+    # first occurrence per quantized side triple, in enumeration order: the
+    # lowest candidate index of each run of equal keys; the triples are packed
+    # into int64 keys like grid cells (CellOutOfRange past the int64 range)
+    key = pack_cells(np.round(lengths / dedup_resolution).astype(np.int64))
+    by_key = np.argsort(key)
+    run_starts = np.flatnonzero(np.diff(key[by_key], prepend=-1))
+    unique = np.sort(np.minimum.reduceat(by_key, run_starts))
+    first, lengths = keep[unique], lengths[unique]
+    idx = np.stack([anchor[first], first_nbr[first], second_nbr[first]], axis=1)
+    raw = [col[first] for col in raw]
 
     # p1 is the vertex shared by the smallest and largest sides; exact ties
     # fall back to the permutation scan
-    perm = _PERM_TABLE[np.argmin(raw, axis=1), np.argmax(raw, axis=1)]
+    perm = _PERM_TABLE[_first_extreme(raw, np.less_equal), _first_extreme(raw, np.greater_equal)]
     tied = (lengths[:, 0] == lengths[:, 1]) | (lengths[:, 1] == lengths[:, 2])
     for row in np.flatnonzero(tied):
         perm[row] = _canonical_order(positions[idx[row]])
     vertex_ids = np.take_along_axis(idx, perm, axis=1)
-    vertices, vertex_normals = positions[vertex_ids], normals[vertex_ids]
 
     # sort by side triple; deduplication left no two rows with equal sides,
     # so the vertex coordinates never break a tie
     by_sides = np.lexsort(lengths.T[::-1])
-    return DescriptorFrame(
-        vertices[by_sides], vertex_normals[by_sides], lengths[by_sides], frame_id
-    )
+    vertex_ids = vertex_ids[by_sides]
+    return DescriptorFrame.from_sides(
+        positions[vertex_ids], normals[vertex_ids], lengths[by_sides], frame_id)
+
+
+def _first_extreme(columns, at_least_as) -> np.ndarray:
+    """Per row, the first of three columns holding the row's extreme, like
+    np.argmin (at_least_as=np.less_equal) or np.argmax (np.greater_equal)."""
+    a, b, c = columns
+    return np.where(at_least_as(a, b) & at_least_as(a, c), 0, np.where(at_least_as(b, c), 1, 2))
+
+
+def _distance_matrix(positions: np.ndarray) -> np.ndarray:
+    """(m, m) Euclidean distances between m points, each the square root of
+    the left-to-right sum of squared coordinate differences: bit for bit
+    np.linalg.norm(a - b) of the two points, and symmetric."""
+    d = positions[:, None, :] - positions[None, :, :]
+    d *= d
+    return np.sqrt(d[..., 0] + d[..., 1] + d[..., 2])
 
 
 # local vertex order (of [anchor, i, j]) indexed by (smallest side, largest

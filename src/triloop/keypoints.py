@@ -1,4 +1,4 @@
-"""Boundary-point projection, per-plane distance images, and key-point NMS.
+"""Boundary-point projection, plane distance images, and key-point NMS.
 
 Boundary points are projected onto their plane; each image pixel keeps the
 maximum point-to-plane distance and the index of the 3D point that produced
@@ -9,6 +9,13 @@ coordinate.
 Ties are broken by index on both steps: a pixel keeps the lowest-index point
 among those at its maximum distance, and of two equal pixels in one window
 the one earlier in row-major order wins.
+
+A keyframe's planes are handled together. Their images share one flat
+mosaic: each image sits in its own block, framed by NMS_RADIUS empty pixels,
+so one scatter of maxima rasterizes every plane and one windowed comparison
+suppresses every candidate pixel without a window reaching into another
+plane. ``project_boundary``, ``rasterize`` and ``extract_keypoints`` are the
+one-plane case of the same kernel.
 """
 
 from __future__ import annotations
@@ -60,20 +67,64 @@ class PlaneImage:
     points: np.ndarray        # (m, 3) original 3D boundary points
 
 
+@dataclass(frozen=True)
+class _Mosaic:
+    """Pixel layout of several plane images in one flat array.
+
+    Image p, of shape[p] pixels, sits in a block of (h + 2r) x (w + 2r)
+    pixels with its [0, 0] at flat index base[p]; blocks follow one another
+    in plane order, so flat order is plane order, then row-major order.
+    """
+
+    lo: np.ndarray      # (P, 2) pixel index of each image's [0, 0]
+    shape: np.ndarray   # (P, 2) image height and width
+    base: np.ndarray    # (P,) flat index of each image's [0, 0]
+    stride: np.ndarray  # (P,) flat step between rows of a block
+    size: int           # flat pixel count
+
+    @classmethod
+    def of(cls, lo: np.ndarray, hi: np.ndarray) -> _Mosaic:
+        shape = hi - lo + 1
+        stride = shape[:, 1] + 2 * NMS_RADIUS
+        blocks = (shape[:, 0] + 2 * NMS_RADIUS) * stride
+        starts = np.cumsum(blocks) - blocks
+        base = starts + NMS_RADIUS * stride + NMS_RADIUS
+        return cls(lo, shape, base, stride, int(blocks.sum()))
+
+    def flat(self, image: np.ndarray, pix: np.ndarray) -> np.ndarray:
+        """Flat index of pixels pix (N, 2) of images image (N,)."""
+        rel = pix - self.lo[image]
+        return self.base[image] + rel[:, 0] * self.stride[image] + rel[:, 1]
+
+
 def plane_axes(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic in-plane basis: e1 from the global axis least aligned
     with the normal, e2 = normal x e1."""
-    u = np.asarray(normal, dtype=np.float64)
-    axis = np.zeros(3)
-    axis[int(np.argmin(np.abs(u)))] = 1.0
-    e1 = axis - (axis @ u) * u
-    e1 /= np.linalg.norm(e1)
-    # u x e1 written out: the same products and differences as np.cross
-    e2 = np.array([
-        u[1] * e1[2] - u[2] * e1[1],
-        u[2] * e1[0] - u[0] * e1[2],
-        u[0] * e1[1] - u[1] * e1[0],
-    ])
+    e1, e2 = _plane_axes(np.asarray(normal, dtype=np.float64).reshape(1, 3))
+    return e1[0], e2[0]
+
+
+def _plane_axes(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """In-plane axes (P, 3), (P, 3) of P unit normals.
+
+    Each row is computed as the one-normal formula: with axis the one-hot
+    vector, axis - (axis @ u) * u, divided by its norm sqrt(e1 @ e1) (a
+    stacked matmul forms that dot like the 1-D product), and u x e1 written
+    out with the products and differences of np.cross.
+    """
+    u = normals
+    rows = np.arange(len(u))
+    least = np.argmin(np.abs(u), axis=1)
+    axis = np.zeros_like(u)
+    axis[rows, least] = 1.0
+    # axis @ u is exactly u[least]: the other terms are signed zeros
+    e1 = axis - u[rows, least][:, None] * u
+    e1 /= np.sqrt((e1[:, None, :] @ e1[:, :, None])[:, 0])
+    e2 = np.stack([
+        u[:, 1] * e1[:, 2] - u[:, 2] * e1[:, 1],
+        u[:, 2] * e1[:, 0] - u[:, 0] * e1[:, 2],
+        u[:, 0] * e1[:, 1] - u[:, 1] * e1[:, 0],
+    ], axis=1)
     return e1, e2
 
 
@@ -89,27 +140,78 @@ def project_boundary(
     """
     if not plane.boundary_cells:
         raise NoBoundary(f"plane {plane.id} has no boundary voxels")
-    [pts] = _boundary_points([plane], voxmap)
-    return _project(pts, plane, plane_axes(plane.normal) if axes is None else axes)
+    points, bounds = _boundary_points([plane], voxmap)
+    e1, e2 = plane_axes(plane.normal) if axes is None else axes
+    distances, uv = _project(points, bounds, np.array([plane.center]),
+                             np.array([plane.normal]), np.array([e1]), np.array([e2]))
+    return points, distances, uv
 
 
-def _boundary_points(planes: list[Plane], voxmap: VoxelMap) -> list[np.ndarray]:
-    """Each plane's boundary-voxel points, in boundary-cell order, from one
-    lookup and one gather for all planes."""
+def _boundary_points(planes: list[Plane], voxmap: VoxelMap) -> tuple[np.ndarray, np.ndarray]:
+    """Every plane's boundary-voxel points, plane after plane and in
+    boundary-cell order within one, from one lookup and one gather; plane p
+    holds rows bounds[p]:bounds[p + 1]."""
     rows = voxmap.lookup([c for plane in planes for c in plane.boundary_cells])
     if np.any(rows < 0):
         raise KeyError("boundary cells outside the voxel map")
     sizes = voxmap.offsets[rows + 1] - voxmap.offsets[rows]
     ends = np.cumsum([len(plane.boundary_cells) for plane in planes])
-    return np.split(voxmap.points_of(rows), np.cumsum(sizes)[ends[:-1] - 1])
+    bounds = np.concatenate([[0], np.cumsum(sizes)[ends - 1]])
+    return voxmap.points_of(rows), bounds
 
 
-def _project(pts: np.ndarray, plane: Plane, axes: tuple[np.ndarray, np.ndarray]):
-    e1, e2 = axes
-    rel = pts - plane.center
-    distances = np.abs(rel @ plane.normal)
-    uv = np.stack([rel @ e1, rel @ e2], axis=1)
-    return pts, distances, uv
+def _project(points, bounds, centers, normals, e1, e2) -> tuple[np.ndarray, np.ndarray]:
+    """Distances (N,) and uv (N, 2) of each plane's points onto its plane.
+
+    The offsets from the centers are one subtraction. The products are one
+    matrix-vector product per plane and axis: OpenBLAS rounds a row of such a
+    product by where it falls in the call's blocks, so only the per-plane
+    call gives each plane's values bit for bit.
+    """
+    rel = points - np.repeat(centers, np.diff(bounds), axis=0)
+    distances, u, v = np.empty((3, len(points)))
+    for p, (start, stop) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+        segment = rel[start:stop]
+        np.matmul(segment, normals[p], out=distances[start:stop])
+        np.matmul(segment, e1[p], out=u[start:stop])
+        np.matmul(segment, e2[p], out=v[start:stop])
+    return np.abs(distances), np.stack([u, v], axis=1)
+
+
+def _raster(
+    distances: np.ndarray, uv: np.ndarray, bounds: np.ndarray, pixel_size: float
+) -> tuple[_Mosaic, np.ndarray, np.ndarray, np.ndarray]:
+    """Bin each plane's projections into its image of one mosaic.
+
+    Returns the mosaic, each point's image, and per flat pixel the max
+    distance (-inf where empty) and the point holding it: the lowest index
+    among the points at the maximum, -1 where empty.
+    """
+    if pixel_size <= 0:
+        raise NonPositiveLeaf(f"pixel_size must be > 0, got {pixel_size}")
+    pix = np.floor(uv / pixel_size).astype(np.int64)
+    starts = bounds[:-1]
+    mosaic = _Mosaic.of(np.minimum.reduceat(pix, starts, axis=0),
+                        np.maximum.reduceat(pix, starts, axis=0))
+    image = np.repeat(np.arange(len(starts)), np.diff(bounds))
+    flat = mosaic.flat(image, pix)
+    values = np.full(mosaic.size, -np.inf)
+    np.maximum.at(values, flat, distances)
+    at_max = np.flatnonzero(distances == values[flat])
+    sources = np.full(mosaic.size, len(distances))
+    np.minimum.at(sources, flat[at_max], at_max)
+    sources[sources == len(distances)] = -1
+    return mosaic, image, values, sources
+
+
+def _nms(values: np.ndarray, centers: np.ndarray, strides: np.ndarray) -> np.ndarray:
+    """Which candidate pixels survive: a pixel at flat index centers[i], in a
+    block of row step strides[i], must be strictly greater than every pixel
+    of its window, or equal to and earlier in row-major order than it. Empty
+    pixels hold -inf."""
+    v = values[centers][:, None]
+    window = values[centers[:, None] + strides[:, None] * _WINDOW[:, 0] + _WINDOW[:, 1]]
+    return ((window < v) | (~_EARLIER & (window == v))).all(axis=1)
 
 
 def rasterize(
@@ -124,23 +226,10 @@ def rasterize(
 
     On a tie the pixel keeps the point with the lowest index.
     """
-    if pixel_size <= 0:
-        raise NonPositiveLeaf(f"pixel_size must be > 0, got {pixel_size}")
+    mosaic, _, values, sources = _raster(distances, uv, np.array([0, len(points)]), pixel_size)
+    (h, w), r = mosaic.shape[0].tolist(), NMS_RADIUS
+    image = np.s_[r:r + h, r:r + w]  # the image inside the mosaic's one block
     e1, e2 = plane_axes(plane.normal) if axes is None else axes
-    pix = np.floor(uv / pixel_size).astype(np.int64)
-    lo = pix.min(axis=0)
-    hi = pix.max(axis=0)
-    shape = (int(hi[0] - lo[0] + 1), int(hi[1] - lo[1] + 1))
-    linear = (pix[:, 0] - lo[0]) * shape[1] + (pix[:, 1] - lo[1])
-    # by pixel, then distance descending; the stable sort keeps index order
-    order = np.lexsort((-distances, linear))
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = linear[order[1:]] != linear[order[:-1]]
-    winners = order[first]
-    values = np.full(shape, -np.inf)
-    sources = np.full(shape, -1, dtype=np.int64)
-    values.flat[linear[winners]] = distances[winners]
-    sources.flat[linear[winners]] = winners
     return PlaneImage(
         plane_id=plane.id,
         origin=plane.center,
@@ -148,9 +237,9 @@ def rasterize(
         e2=e2,
         normal=plane.normal,
         pixel_size=pixel_size,
-        offset=(int(lo[0]), int(lo[1])),
-        values=values,
-        sources=sources,
+        offset=tuple(mosaic.lo[0].tolist()),
+        values=values.reshape(h + 2 * r, w + 2 * r)[image],
+        sources=sources.reshape(h + 2 * r, w + 2 * r)[image],
         points=points,
     )
 
@@ -162,24 +251,19 @@ def extract_keypoints(img: PlaneImage, min_dist: float, frame_id: int = 0) -> li
     every other occupied pixel in the window; exact ties go to the lower
     linearized pixel index. Empty pixels hold -inf.
     """
-    values = img.values
-    h, w = values.shape
-    r = NMS_RADIUS
-    padded = np.full((h + 2 * r, w + 2 * r), -np.inf)
-    padded[r:r + h, r:r + w] = values
-    rows, cols = np.nonzero(np.isfinite(values) & (values >= min_dist))
-    v = values[rows, cols][:, None]
-    centers = (rows + r) * padded.shape[1] + (cols + r)
-    steps = _WINDOW[:, 0] * padded.shape[1] + _WINDOW[:, 1]
-    window = padded.ravel()[centers[:, None] + steps]  # (candidates, 24)
-    wins = ((window < v) | (~_EARLIER & (window == v))).all(axis=1)
+    mosaic = _Mosaic.of(np.zeros((1, 2), dtype=np.int64), np.array([img.values.shape]) - 1)
+    padded = np.pad(img.values, NMS_RADIUS, constant_values=-np.inf)  # the mosaic's one block
+    rows, cols = np.nonzero(np.isfinite(img.values) & (img.values >= min_dist))
+    image = np.zeros(len(rows), dtype=np.int64)
+    centers = mosaic.flat(image, np.column_stack([rows, cols]))
+    wins = _nms(padded.ravel(), centers, mosaic.stride[image])
     return [
         KeyPoint(
             position=img.points[img.sources[rr, cc]].copy(),
             normal=img.normal.copy(),
             plane_id=img.plane_id,
             frame_id=frame_id,
-            strength=float(values[rr, cc]),
+            strength=float(img.values[rr, cc]),
         )
         for rr, cc in zip(rows[wins].tolist(), cols[wins].tolist())
     ]
@@ -193,19 +277,36 @@ def keyframe_keypoints(
     frame_id: int = 0,
     max_keypoints: int = 200,
 ) -> list[KeyPoint]:
-    """Extract key points for every plane and keep the strongest overall.
+    """Key points of every plane, the strongest max_keypoints overall.
 
-    Planes without boundary voxels are skipped. The cap keeps the descriptor
-    count bounded on dense keyframes.
+    Planes without boundary voxels are skipped. Key points are ordered by
+    strength descending, then plane id, then position (x, y, z); the cap
+    keeps the descriptor count bounded on dense keyframes.
     """
+    if max_keypoints < 0:
+        raise ValueError(f"max_keypoints must be >= 0, got {max_keypoints}")
     planes = [plane for plane in planes if plane.boundary_cells]
     if not planes:
         return []
-    collected: list[KeyPoint] = []
-    for plane, boundary in zip(planes, _boundary_points(planes, voxmap)):
-        axes = plane_axes(plane.normal)
-        pts, dists, uv = _project(boundary, plane, axes)
-        img = rasterize(pts, dists, uv, pixel_size, plane, axes=axes)
-        collected.extend(extract_keypoints(img, min_dist, frame_id=frame_id))
-    collected.sort(key=lambda k: (-k.strength, k.plane_id, tuple(k.position)))
-    return collected[:max_keypoints]
+    points, bounds = _boundary_points(planes, voxmap)
+    normals = np.array([plane.normal for plane in planes], dtype=np.float64)
+    e1, e2 = _plane_axes(normals)
+    centers = np.array([plane.center for plane in planes], dtype=np.float64)
+    distances, uv = _project(points, bounds, centers, normals, e1, e2)
+
+    mosaic, image, values, sources = _raster(distances, uv, bounds, pixel_size)
+    pixels = np.flatnonzero((sources >= 0) & (values >= min_dist))
+    candidates = sources[pixels]
+    found = candidates[_nms(values, pixels, mosaic.stride[image[candidates]])]
+
+    strength = distances[found]
+    plane_ids = np.array([plane.id for plane in planes], dtype=np.int64)[image[found]]
+    position = points[found]
+    keep = np.lexsort((position[:, 2], position[:, 1], position[:, 0], plane_ids, -strength))
+    keep = keep[:max_keypoints]
+    normal = normals[image[found[keep]]]
+    return [
+        KeyPoint(position=p, normal=n, plane_id=i, frame_id=frame_id, strength=s)
+        for p, n, i, s in zip(position[keep], normal, plane_ids[keep].tolist(),
+                              strength[keep].tolist())
+    ]

@@ -63,6 +63,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {', '.join(MODES)}; got {self.mode!r}")
+        if self.max_keypoints < 0:
+            raise ConfigError(f"max_keypoints must be >= 0; got {self.max_keypoints}")
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":

@@ -2,10 +2,11 @@
 
 ``signature`` and ``centroid`` are the per-descriptor attributes of one
 ``TriangleDescriptor`` row, and ``make_key`` quantizes and mixes one
-signature; ``triloop.database.frame_signatures`` and ``frame_keys`` compute
-the same for a whole ``DescriptorFrame`` at once, and tests require the two to
-agree bit for bit. ``stack_frame`` and ``stack_pairs`` turn reference rows
-into the frames and aligned pairs the library takes.
+signature; ``triloop.descriptors.frame_signatures`` and
+``triloop.database.frame_keys`` compute the same for a whole
+``DescriptorFrame`` at once, and tests require the two to agree bit for bit.
+``stack_frame`` and ``stack_pairs`` turn reference rows into the frames and
+aligned pairs the library takes.
 """
 
 import math
@@ -73,7 +74,7 @@ def stack_frame(rows, frame_id: int) -> DescriptorFrame:
     sides), in order."""
     if not rows:
         return DescriptorFrame.empty(frame_id)
-    return DescriptorFrame(
+    return DescriptorFrame.from_sides(
         np.array([d.vertices for d in rows], dtype=np.float64),
         np.array([d.normals for d in rows], dtype=np.float64),
         np.array([d.sides for d in rows], dtype=np.float64),

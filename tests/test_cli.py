@@ -206,6 +206,19 @@ class TestExitCodes:
         assert code == 2
         assert not (tmp_path / "out").exists()
 
+    def test_negative_max_keypoints_is_config_error(self, tmp_path, world):
+        cfg_path = tmp_path / "run.cfg"
+        write_config(cfg_path)
+        cfg_path.write_text(cfg_path.read_text() + "max_keypoints = -5\n")
+        poses = [yaw_pose(6.0 + i, 9.0, 1.5, 0.0) for i in range(3)]
+        scan_dir, pose_file = write_sequence(tmp_path, world, poses)
+        code = main(
+            ["run", "--config", str(cfg_path), "--scans", str(scan_dir),
+             "--poses", str(pose_file), "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert not (tmp_path / "out").exists()
+
     def test_pose_count_mismatch_is_config_error(self, tmp_path, world):
         poses = [yaw_pose(6.0 + i, 9.0, 1.5, 0.0) for i in range(3)]
         scan_dir, pose_file = write_sequence(tmp_path, world, poses)

@@ -4,8 +4,13 @@ import struct
 import numpy as np
 import pytest
 
-from triloop.database import DescriptorDatabase, frame_keys, frame_signatures
-from triloop.descriptors import DescriptorFrame, TriangleDescriptor, build_descriptors
+from triloop.database import DescriptorDatabase, frame_keys
+from triloop.descriptors import (
+    DescriptorFrame,
+    TriangleDescriptor,
+    build_descriptors,
+    frame_signatures,
+)
 from triloop.errors import DuplicateFrame, MalformedRecord
 from triloop.geometry import RigidTransform, random_rotation
 from triloop.keypoints import KeyPoint
@@ -388,11 +393,12 @@ class TestFrameKeys:
         expected = [make_key(signature(d), 0.2, 0.1) for d in frame]
         for name, layout in layouts.items():
             db = DescriptorDatabase()
-            moved = dataclasses.replace(frame, normals=layout(frame.normals))
+            moved = DescriptorFrame.from_sides(frame.vertices, layout(frame.normals),
+                                               frame.sides, 0)
             db.insert_frame(0, moved)
             votes = db.vote_counts(frame)
             assert votes == {0: len(frame)}, name
-            _, buckets = frame_keys(frame_signatures(moved.sides, moved.normals), 0.2, 0.1)
+            _, buckets = frame_keys(moved.signatures, 0.2, 0.1)
             assert [k.bucket for k in expected] == buckets.tolist(), name
 
     def test_non_finite_signature_rejected(self):
@@ -559,3 +565,86 @@ class TestSnapshotFormat:
         path.write_bytes(raw[:at] + struct.pack("<d", value) + raw[at + 8:])
         with pytest.raises(MalformedRecord, match="NaN or infinite"):
             DescriptorDatabase.load(path)
+
+    def test_repeated_frame_id_rejected(self, tmp_path):
+        rng = np.random.default_rng(28)
+        db = DescriptorDatabase()
+        db.insert_frame(5, synth_frame(rng, 5, 4))
+        path = tmp_path / "db.bin"
+        db.save(path)
+        raw = path.read_bytes()
+        header = 8 + 28  # magic, then version, resolutions and frame count
+        frame_block = raw[header:]
+        patched = raw[:header - 8] + struct.pack("<Q", 2) + frame_block + frame_block
+        path.write_bytes(patched)
+        with pytest.raises(MalformedRecord, match="frame 5 appears more than once"):
+            DescriptorDatabase.load(path)
+
+
+def assert_signatures_match_scalar(frame):
+    expected = np.array([signature(d) for d in frame]).reshape(-1, 6)
+    assert frame.signatures.shape == (len(frame), 6)
+    assert np.array_equal(frame.signatures, expected)
+    assert not len(frame) or np.shares_memory(frame.sides, frame.signatures)
+
+
+class TestFrameSignatures:
+    """A frame carries its (M, 6) signatures from build or load, through
+    slices, masks and pairs, and the database never recomputes them."""
+
+    def test_built_frame_and_its_slices_masks_and_pairs(self):
+        rng = np.random.default_rng(29)
+        frame = keypoint_frame(rng, 0)
+        assert len(frame) > 100
+        assert_signatures_match_scalar(frame)
+        assert_signatures_match_scalar(frame[:37])
+        assert_signatures_match_scalar(frame[frame.sides[:, 0] > 5.0])
+        assert_signatures_match_scalar(frame[rng.permutation(len(frame))[:50]])
+        db = DescriptorDatabase()
+        db.insert_frame(0, frame)
+        relabelled = dataclasses.replace(frame, frame_id=1)
+        [cand] = db.query_candidates(frame, skip_recent=0)
+        assert len(cand.pairs) == len(frame)
+        assert_signatures_match_scalar(cand.pairs.query)
+        assert_signatures_match_scalar(cand.pairs.stored)
+        assert_signatures_match_scalar(cand.pairs[np.arange(len(frame)) % 3 == 0].stored)
+        assert_signatures_match_scalar(relabelled)
+
+    def test_signatures_survive_save_and_load(self, tmp_path):
+        rng = np.random.default_rng(30)
+        db = DescriptorDatabase()
+        frames = [keypoint_frame(rng, 0), synth_frame(rng, 1, 40), DescriptorFrame.empty(2)]
+        for f, frame in enumerate(frames):
+            db.insert_frame(f, frame)
+        path = tmp_path / "db.bin"
+        db.save(path)
+        loaded = DescriptorDatabase.load(path)
+        for f, frame in enumerate(frames):
+            stored = loaded._frames[f]
+            assert_signatures_match_scalar(stored)
+            assert np.array_equal(stored.signatures, frame.signatures)
+
+    def test_frame_rejects_sides_in_place_of_signatures(self):
+        frame = synth_frame(np.random.default_rng(31), 0, 3)
+        with pytest.raises(ValueError, match="signatures"):
+            DescriptorFrame(frame.vertices, frame.normals, frame.sides, 0)
+
+    def test_query_and_insert_do_not_recompute_signatures(self, monkeypatch):
+        import triloop.database
+        import triloop.descriptors
+
+        rng = np.random.default_rng(32)
+        stored, query = keypoint_frame(rng, 0), keypoint_frame(rng, 1)
+
+        def recomputed(*args, **kwargs):
+            raise AssertionError("signatures computed again")
+
+        monkeypatch.setattr(triloop.descriptors, "frame_signatures", recomputed)
+        monkeypatch.setattr(triloop.database, "frame_signatures", recomputed, raising=False)
+        db = DescriptorDatabase()
+        db.insert_frame(0, stored)
+        assert db.query_candidates(stored, skip_recent=0)[0].votes == len(stored)
+        db.query_candidates(query, skip_recent=0)
+        db.vote_counts(query)
+        db.insert_frame(1, query)
+        assert db.frames_indexed == 2

@@ -18,7 +18,14 @@ from scalar_front import (
 )
 
 from triloop.ingest import voxel_downsample
-from triloop.keypoints import PlaneImage, extract_keypoints, keyframe_keypoints, plane_axes, rasterize
+from triloop.keypoints import (
+    PlaneImage,
+    _plane_axes,
+    extract_keypoints,
+    keyframe_keypoints,
+    plane_axes,
+    rasterize,
+)
 from triloop.planes import MIN_VOXEL_POINTS, Plane, build_voxel_map, classify_plane_voxels, grow_planes
 
 SEEDS = (0, 1, 2)
@@ -133,6 +140,100 @@ def test_plane_axes_match_reference():
         n = n / np.linalg.norm(n)
         for got, want in zip(plane_axes(n), scalar_plane_axes(n)):
             assert np.array_equal(got, want)
+
+
+def test_batched_plane_axes_match_reference():
+    rng = np.random.default_rng(10)
+    normals = np.vstack([rng.normal(size=(2000, 3)), np.eye(3), -np.eye(3),
+                         [[0.0, -0.0, 1.0], [-0.0, 0.6, -0.8], [0.6, 0.0, 0.8]]])
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    e1, e2 = _plane_axes(normals)
+    for n, got1, got2 in zip(normals, e1, e2):
+        want1, want2 = scalar_plane_axes(n)
+        assert np.array_equal(got1, want1) and np.array_equal(got2, want2)
+
+
+def hand_planes(cloud, voxel_size, boundaries, ids=None, centers=None):
+    """Planes over a cloud's voxels with hand-chosen boundary cells, all
+    with normal +z; returns them with the array and the reference voxel
+    maps."""
+    ids = range(len(boundaries)) if ids is None else ids
+    centers = [np.zeros(3)] * len(boundaries) if centers is None else centers
+    planes = [
+        Plane(id=i, center=np.asarray(c, dtype=np.float64), normal=np.array([0.0, 0.0, 1.0]),
+              boundary_cells=[tuple(int(v) for v in cell) for cell in cells])
+        for i, c, cells in zip(ids, centers, boundaries)
+    ]
+    return planes, build_voxel_map(cloud, voxel_size), scalar_voxel_map(cloud, voxel_size)
+
+
+def test_cap_cuts_through_equal_strengths_like_reference():
+    # Grid points 3 pixels apart with strengths from {0.25, 0.5, 0.75}; the
+    # planes share voxels, so one point is a key point of several planes
+    # with the same strength, and equal strengths recur within a plane.
+    rng = np.random.default_rng(11)
+    xs, ys = np.meshgrid(np.arange(0.0, 12.0, 1.5), np.arange(0.0, 12.0, 1.5), indexing="ij")
+    z = rng.choice([0.25, 0.5, 0.75], size=xs.size)
+    cloud = np.column_stack([xs.ravel(), ys.ravel(), z])
+    cells = sorted({tuple(c) for c in np.floor(cloud / 4.0).astype(int).tolist()})
+    boundaries = [[cells[j] for j in sorted(rng.choice(len(cells), 5, replace=False))]
+                  for _ in range(6)]
+    centers = [(0.0, 0.0, 0.0), (0.25, 0.5, 0.0), (-1.0, 0.0, 0.0)] * 2
+    planes, voxmap, ref = hand_planes(cloud, 4.0, boundaries, ids=[4, 0, 5, 2, 1, 3],
+                                      centers=centers)
+    full = scalar_keyframe_keypoints(planes, ref, min_dist=0.0, max_keypoints=10**6)
+    cut_through_ties = 0
+    for cap in range(len(full) + 2):
+        got = keyframe_keypoints(planes, voxmap, min_dist=0.0, frame_id=1, max_keypoints=cap)
+        want = scalar_keyframe_keypoints(planes, ref, min_dist=0.0, frame_id=1, max_keypoints=cap)
+        assert_same_keypoints(got, want)
+        if 0 < cap < len(full):
+            last, next_ = full[cap - 1], full[cap]
+            cut_through_ties += (last.strength == next_.strength
+                                 and last.plane_id != next_.plane_id)
+    assert cut_through_ties > 5
+
+
+@pytest.mark.parametrize("seed", (12, 13, 14))
+def test_one_pixel_wide_images_do_not_suppress_across_planes(seed):
+    # Each plane's image is one pixel wide or one pixel tall, so in the
+    # shared mosaic its pixels touch the block border on every side; a
+    # window that reached a neighbouring plane's block would suppress key
+    # points the per-plane reference keeps.
+    rng = np.random.default_rng(seed)
+    columns = []
+    for i in range(30):  # voxel (i, 0, 0): x spread over two pixels, y in one
+        n = int(rng.integers(1, 5))
+        columns.append(np.column_stack([
+            i + rng.uniform(0.0, 1.0, n), np.full(n, rng.uniform(0.05, 0.45)),
+            rng.choice([0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9], n)]))
+    rows = []
+    for j in range(30):  # voxel (0, j + 2, 0): y spread over two pixels, x in one
+        n = int(rng.integers(1, 5))
+        rows.append(np.column_stack([
+            np.full(n, rng.uniform(0.05, 0.45)), j + 2 + rng.uniform(0.0, 1.0, n),
+            rng.choice([0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9], n)]))
+    cloud = np.vstack(columns + rows)
+    boundaries = []
+    for first, axis in ((0, 0), (2, 1)):
+        k = 0
+        while k < 30:
+            span = int(rng.integers(1, 3))  # one or two voxels in a line
+            boundaries.append([
+                (first + k + s, 0, 0) if axis == 0 else (0, first + k + s, 0)
+                for s in range(span) if k + s < 30])
+            k += span
+    planes, voxmap, ref = hand_planes(cloud, 1.0, boundaries)
+    widths = []
+    for plane in planes:
+        pts = np.vstack([ref[c].points for c in plane.boundary_cells])
+        pix = np.floor(pts[:, :2] / 0.5).astype(int)
+        widths.append(min(np.ptp(pix, axis=0)) + 1)
+    assert set(widths) == {1}
+    got = keyframe_keypoints(planes, voxmap, min_dist=0.0, max_keypoints=10**6)
+    want = scalar_keyframe_keypoints(planes, ref, min_dist=0.0, max_keypoints=10**6)
+    assert len(want) > len(planes)
+    assert_same_keypoints(got, want)
 
 
 def test_rasterize_ties_inside_a_pixel():

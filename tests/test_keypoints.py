@@ -253,3 +253,10 @@ def test_keyframe_keypoints_caps_count():
     assert len(kps) == 50
     strengths = [k.strength for k in kps]
     assert strengths == sorted(strengths, reverse=True)
+
+
+def test_keyframe_keypoints_rejects_negative_cap():
+    plane, voxmap = make_plane_scene([0, 0, 0], [0, 0, 1], [[0.1, 0.1, 0.5]])
+    assert len(keyframe_keypoints([plane], voxmap, max_keypoints=0)) == 0
+    with pytest.raises(ValueError, match="max_keypoints"):
+        keyframe_keypoints([plane], voxmap, max_keypoints=-5)

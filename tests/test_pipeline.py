@@ -69,6 +69,15 @@ class TestConfig:
             PipelineConfig.from_file(path)
         assert PipelineConfig(mode="best").mode == "best"
 
+    def test_negative_max_keypoints_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="max_keypoints"):
+            PipelineConfig(max_keypoints=-5)
+        path = tmp_path / "run.cfg"
+        path.write_text("max_keypoints = -1\n")
+        with pytest.raises(ConfigError):
+            PipelineConfig.from_file(path)
+        assert PipelineConfig(max_keypoints=0).max_keypoints == 0
+
     def test_missing_equals_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("sigma_pc 0.5\n")
