@@ -16,6 +16,11 @@ matches, not the length of a bucket. The full cell 6-tuple is compared on
 every lookup, so bucket collisions between distinct cells never produce
 false matches. Inserting a frame is atomic with respect to concurrent
 queries.
+
+A keyframe is queried and then inserted, so a frame's cells, bucket keys and
+key order are computed once and kept for the insert that follows its query.
+A candidate's matched pairs are row indices into the query frame and the
+stored frame; no descriptor rows are copied.
 """
 
 from __future__ import annotations
@@ -69,6 +74,38 @@ def frame_keys(
         h ^= words[:, j] * np.uint64(mult)
         h = (h << np.uint64(13)) | (h >> np.uint64(51))
     return cells, h
+
+
+def stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")``, from one unstable sort.
+
+    An unstable sort puts each run of equal keys in place but in any order;
+    sorting only the rows inside such runs by (run, index) restores index
+    order within each run, which is what a stable sort gives.
+    """
+    order = np.argsort(keys)
+    ordered = keys[order]
+    starts = np.ones(len(order), dtype=bool)  # row begins a run of equal keys
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    if starts.all():
+        return order
+    tied = ~starts  # rows in runs of two or more
+    tied[:-1] |= tied[1:]
+    positions = np.flatnonzero(tied)
+    run = np.cumsum(starts)[positions]
+    order[positions] = np.sort(run * len(order) + order[positions]) % len(order)
+    return order
+
+
+@dataclass(frozen=True, eq=False)
+class _FrameKeys:
+    """A frame's cells (M, 6), bucket keys (M,), and its rows in stable
+    bucket-key order with the keys in that order."""
+
+    frame: DescriptorFrame
+    cells: np.ndarray
+    order: np.ndarray
+    sorted_buckets: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -131,6 +168,7 @@ class DescriptorDatabase:
         self._frames: dict[int, DescriptorFrame] = {}
         self._descriptors_indexed = 0
         self._lock = threading.RLock()
+        self._queried: _FrameKeys | None = None  # keys of the frame queried last
 
     @property
     def frames_indexed(self) -> int:
@@ -140,26 +178,36 @@ class DescriptorDatabase:
     def descriptors_indexed(self) -> int:
         return self._descriptors_indexed
 
-    def _keys(self, frame: DescriptorFrame) -> tuple[np.ndarray, np.ndarray]:
-        return frame_keys(frame.signatures, self.delta_l, self.delta_n)
+    def _keys(self, frame: DescriptorFrame) -> _FrameKeys:
+        cells, buckets = frame_keys(frame.signatures, self.delta_l, self.delta_n)
+        order = stable_argsort(buckets)
+        return _FrameKeys(frame, cells, order, buckets[order])
 
     def insert_frame(self, frame_id: int, frame: DescriptorFrame) -> None:
-        """Index one frame and make it visible to queries in one step."""
+        """Index one frame and make it visible to queries in one step.
+
+        When this frame object was the last one queried, the keys that query
+        computed are indexed, so the frame must not have changed since; a
+        query of another frame in between only costs a recompute.
+        """
         if frame.frame_id != frame_id:
             raise ValueError(f"frame carries id {frame.frame_id}, inserting frame {frame_id}")
-        cells, buckets = self._keys(frame)
+        keys = self._queried
+        if keys is not None and keys.frame is frame:
+            self._queried = None
+        else:
+            keys = self._keys(frame)
         with self._lock:
             if frame_id in self._frames:
                 raise DuplicateFrame(f"frame {frame_id} already inserted")
             start = self._descriptors_indexed
             stop = start + len(frame)
             self._reserve(stop)
-            self._cells[start:stop] = cells
+            self._cells[start:stop] = keys.cells
             self._row_frame[start:stop] = len(self._insertion_order)
             self._row_slot[start:stop] = np.arange(len(frame))
-            order = np.argsort(buckets, kind="stable")
-            self._index_keys[start:stop] = buckets[order]
-            self._index_rows[start:stop] = start + order
+            self._index_keys[start:stop] = keys.sorted_buckets
+            self._index_rows[start:stop] = start + keys.order
             if len(frame):
                 self._segment_starts.append(start)
                 self._merge_segments(stop)
@@ -190,24 +238,23 @@ class DescriptorDatabase:
             self._index_keys[tail] = self._index_keys[tail][order]
             self._index_rows[tail] = self._index_rows[tail][order]
 
-    def _bucket_rows(self, buckets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _bucket_rows(self, keys: _FrameKeys) -> tuple[np.ndarray, np.ndarray]:
         """Every (query index, stored row) pair whose bucket keys are equal,
         ordered by query index, then stored row."""
         # sorted needles keep each segment's binary searches on shared paths
-        order = np.argsort(buckets)
-        needles = buckets[order]
+        order, needles = keys.order, keys.sorted_buckets
         none = np.empty(0, dtype=np.int64)
         query, first, counts = [none], [none], [none]
         bounds = self._segment_starts + [self._descriptors_indexed]
         for start, stop in zip(bounds, bounds[1:]):
-            keys = self._index_keys[start:stop]
-            lo = keys.searchsorted(needles)
-            hit = np.flatnonzero(keys.take(lo, mode="clip") == needles)
+            segment = self._index_keys[start:stop]
+            lo = segment.searchsorted(needles)
+            hit = np.flatnonzero(segment.take(lo, mode="clip") == needles)
             if len(hit):
                 lo = lo[hit]
                 query.append(order[hit])
                 first.append(start + lo)
-                counts.append(keys.searchsorted(needles[hit], side="right") - lo)
+                counts.append(segment.searchsorted(needles[hit], side="right") - lo)
         # One run of equal keys per (query, segment). Segments hold ascending
         # row ranges and a run lists its rows in order, so runs ordered by
         # query, then segment, list each query's rows in order.
@@ -228,13 +275,14 @@ class DescriptorDatabase:
         are consecutive, so the first match of each (query row, frame) is the
         frame's earliest stored descriptor in the cell: its pair partner.
         """
-        cells, buckets = self._keys(frame)
+        keys = self._queried = self._keys(frame)  # kept for the frame's insert
         with self._lock:
-            query, stored = self._bucket_rows(buckets)
+            query, stored = self._bucket_rows(keys)
             frames = self._row_frame[stored]
-            keep = (self._cells[stored] == cells[query]).all(axis=1)
             if skip_recent > 0:
-                keep &= frames < self.frames_indexed - skip_recent
+                old = frames < self.frames_indexed - skip_recent
+                query, stored, frames = query[old], stored[old], frames[old]
+            keep = (self._cells[stored] == keys.cells[query]).all(axis=1)
             query, stored, frames = query[keep], stored[keep], frames[keep]
             first = np.ones(len(query), dtype=bool)
             first[1:] = (query[1:] != query[:-1]) | (frames[1:] != frames[:-1])
@@ -266,8 +314,8 @@ class DescriptorDatabase:
         ):
             mine = result.match_frames == f
             # an inserted frame never changes
-            pairs = DescriptorPairs(frame[result.query_rows[mine]],
-                                    self._frames[fid][result.slots[mine]])
+            pairs = DescriptorPairs(frame, self._frames[fid],
+                                    result.query_rows[mine], result.slots[mine])
             candidates.append(Candidate(frame_id=fid, votes=n, pairs=pairs))
         return candidates
 

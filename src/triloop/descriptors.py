@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -109,18 +110,44 @@ class DescriptorFrame:
 
 @dataclass(frozen=True, eq=False)
 class DescriptorPairs:
-    """Matched descriptors as two aligned frames: row i of ``query`` matched
-    row i of ``stored``. Iteration gives (query row, stored row) tuples; a
-    mask or an index array gives the pairs of those rows."""
+    """Matched descriptors as row indices: row ``query_rows[i]`` of
+    ``query_frame`` matched row ``stored_rows[i]`` of ``stored_frame``.
 
-    query: DescriptorFrame
-    stored: DescriptorFrame
+    ``query`` and ``stored`` are the matched rows as two aligned frames,
+    gathered on first use. Iteration gives (query row, stored row) tuples; a
+    mask or an index array gives the pairs of those rows, without copying
+    descriptors.
+    """
+
+    query_frame: DescriptorFrame
+    stored_frame: DescriptorFrame
+    query_rows: np.ndarray
+    stored_rows: np.ndarray
+
+    def __post_init__(self):
+        if self.query_rows.shape != self.stored_rows.shape or self.query_rows.ndim != 1:
+            raise ValueError(f"row arrays must be aligned and 1-D, got "
+                             f"{self.query_rows.shape} and {self.stored_rows.shape}")
+
+    @cached_property
+    def query(self) -> DescriptorFrame:
+        return self.query_frame[self.query_rows]
+
+    @cached_property
+    def stored(self) -> DescriptorFrame:
+        return self.stored_frame[self.stored_rows]
+
+    def vertices(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (P, 3, 3) vertices of the query rows and of the stored rows."""
+        return (self.query_frame.vertices[self.query_rows],
+                self.stored_frame.vertices[self.stored_rows])
 
     def __len__(self) -> int:
-        return len(self.query)
+        return len(self.query_rows)
 
     def __getitem__(self, index) -> DescriptorPairs:
-        return DescriptorPairs(self.query[index], self.stored[index])
+        return DescriptorPairs(self.query_frame, self.stored_frame,
+                               self.query_rows[index], self.stored_rows[index])
 
     def __iter__(self):
         return zip(self.query, self.stored)

@@ -79,7 +79,7 @@ def ransac_transform(
         raise NoValidTransform("no matched pairs to verify")
     rng = np.random.default_rng(0) if rng is None else rng
 
-    src_tris, dst_tris = pairs.query.vertices, pairs.stored.vertices
+    src_tris, dst_tris = pairs.vertices()
 
     picks = rng.integers(len(pairs), size=max(iterations, 0))
     picks = picks[~collinear_triples(src_tris[picks])]  # degenerate samples are skipped
@@ -119,21 +119,23 @@ def _count_inliers(src_tris, dst_tris, R, t, inlier_tol) -> np.ndarray:
     error: ten times ORTHONORMALITY_TOL relative to the coordinate scale
     squared, against 3 * ORTHONORMALITY_TOL for |R s| != |s| and ~1e-13 of
     rounding. The few rows inside that margin go to _inlier_mask itself.
+
+    The pair terms are vertex-major, (3, pairs, 17), so a chunk's misses come
+    out as three contiguous (pairs, hypotheses) slabs, one per vertex.
     """
     counts = np.zeros(len(R), dtype=np.int64)
     if not inlier_tol > 0:  # no distance is below a non-positive tolerance
         return counts
-    s, d = src_tris.reshape(-1, 3), dst_tris.reshape(-1, 3)  # vertex rows, pair-major
-    pair_terms = np.concatenate(
-        [
-            (np.einsum("ij,ij->i", s, s) + np.einsum("ij,ij->i", d, d))[:, None],
-            np.ones((len(s), 1)),
-            s,
-            d,
-            (d[:, :, None] * s[:, None, :]).reshape(-1, 9),
-        ],
-        axis=1,
-    )
+    s = np.swapaxes(src_tris, 0, 1)  # (3, P, 3): vertex, pair, coordinate
+    d = np.swapaxes(dst_tris, 0, 1)
+    pair_terms = np.empty(s.shape[:2] + (17,))
+    np.add(np.einsum("vpj,vpj->vp", s, s), np.einsum("vpj,vpj->vp", d, d),
+           out=pair_terms[..., 0])
+    pair_terms[..., 1] = 1.0
+    pair_terms[..., 2:5] = s
+    pair_terms[..., 5:8] = d
+    np.multiply(d[..., :, None], s[..., None, :],
+                out=pair_terms[..., 8:].reshape(s.shape[:2] + (3, 3)))  # d s^T
     hyp_terms = np.concatenate(
         [
             np.ones((len(R), 1)),
@@ -143,23 +145,27 @@ def _count_inliers(src_tris, dst_tris, R, t, inlier_tol) -> np.ndarray:
             -2.0 * R.reshape(-1, 9),
         ],
         axis=1,
-    )
-    scale = sum(float(np.sqrt(np.einsum("ij,ij->i", a, a).max())) for a in (s, d, t))
+    ).T
+    scale = sum(float(np.sqrt(np.einsum("ij,ij->i", a, a).max()))
+                for a in (src_tris.reshape(-1, 3), dst_tris.reshape(-1, 3), t))
     margin = 10 * ORTHONORMALITY_TOL * (1.0 + scale) ** 2
     if not np.isfinite(margin):  # non-finite or huge coordinates: decide every row exactly
         margin = np.nan
     inside_below, outside_from = inlier_tol**2 - margin, inlier_tol**2 + margin
     step = max(1, INLIER_CHUNK // (3 * len(R)))
     for lo in range(0, len(src_tris), step):
-        miss2 = (pair_terms[3 * lo : 3 * (lo + step)] @ hyp_terms.T).reshape(-1, 3, len(R))
-        worst = np.maximum(np.maximum(miss2[:, 0], miss2[:, 1]), miss2[:, 2])
-        inside = worst < inside_below
-        counts += np.count_nonzero(inside, axis=0)
-        pair, hyp = np.nonzero(~inside & ~(worst >= outside_from))  # NaN lands here too
-        if len(pair):
-            pair += lo
-            ok = _inlier_mask(src_tris[pair], dst_tris[pair], R[hyp], t[hyp], inlier_tol)
-            counts += np.bincount(hyp[ok], minlength=len(R))
+        miss2 = pair_terms[:, lo : lo + step] @ hyp_terms  # (3, pairs, hypotheses)
+        worst = np.maximum(np.maximum(miss2[0], miss2[1]), miss2[2])
+        inside, outside = worst < inside_below, worst >= outside_from
+        n_inside = np.count_nonzero(inside, axis=0)
+        counts += n_inside
+        # rows neither inside nor outside, NaN rows among them, are near the tolerance
+        if n_inside.sum() + np.count_nonzero(outside) == worst.size:
+            continue
+        pair, hyp = np.nonzero(~(inside | outside))
+        pair += lo
+        ok = _inlier_mask(src_tris[pair], dst_tris[pair], R[hyp], t[hyp], inlier_tol)
+        counts += np.bincount(hyp[ok], minlength=len(R))
     return counts
 
 

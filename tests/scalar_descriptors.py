@@ -85,6 +85,7 @@ def stack_frame(rows, frame_id: int) -> DescriptorFrame:
 def stack_pairs(pairs) -> DescriptorPairs:
     """Aligned pairs from a list of (query row, stored row) tuples; the query
     frame is frame 1, the stored one frame 0."""
+    rows = np.arange(len(pairs))
     return DescriptorPairs(
-        stack_frame([q for q, _ in pairs], 1), stack_frame([s for _, s in pairs], 0)
+        stack_frame([q for q, _ in pairs], 1), stack_frame([s for _, s in pairs], 0), rows, rows
     )

@@ -1,10 +1,11 @@
 import dataclasses
 import struct
+import sys
 
 import numpy as np
 import pytest
 
-from triloop.database import DescriptorDatabase, frame_keys
+from triloop.database import DescriptorDatabase, frame_keys, stable_argsort
 from triloop.descriptors import (
     DescriptorFrame,
     TriangleDescriptor,
@@ -310,6 +311,77 @@ def test_concurrent_readers_never_see_partial_frames():
     assert not violations
 
 
+def test_insert_after_interleaved_queries_indexes_its_own_keys():
+    """A writer's query of a frame keeps that frame's keys for its insert.
+    Readers querying other frames between the two must not leave the insert
+    indexing their keys: afterwards every vote matches the oracle."""
+    import threading
+
+    rng = np.random.default_rng(14)
+    frames = [synth_frame(rng, f, 30, side_range=(1.0, 4.0), structured_normals=True)
+              for f in range(12)]
+    others = [synth_frame(rng, 100 + r, 30, side_range=(1.0, 4.0), structured_normals=True)
+              for r in range(3)]
+    db = DescriptorDatabase()
+    queries_done = [0] * len(others)
+    done = threading.Event()
+
+    def reader(r):
+        while not done.is_set():
+            db.query_candidates(others[r], skip_recent=0)
+            queries_done[r] += 1
+
+    threads = [threading.Thread(target=reader, args=(r,)) for r in range(len(others))]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for f, frame in enumerate(frames):
+            db.query_candidates(frame, skip_recent=0)
+            seen = list(queries_done)
+            # every reader finishes a query of its own frame before the insert
+            while any(now < then + 2 for now, then in zip(queries_done, seen)):
+                assert all(t.is_alive() for t in threads)
+                done.wait(0.0005)
+            db.insert_frame(f, frame)
+    finally:
+        done.set()
+        for t in threads:
+            t.join(timeout=30)
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    stored = [d for frame in frames for d in frame]
+    for frame in frames + others:
+        assert db.vote_counts(frame) == brute_force_votes(stored, frame, db.delta_l, db.delta_n)
+    for f, frame in enumerate(frames):
+        assert db.vote_counts(frame)[f] == len(frame)
+
+
+class TestStableArgsort:
+    @pytest.mark.parametrize("keys", [
+        np.empty(0, dtype=np.uint64),
+        np.array([7], dtype=np.uint64),
+        np.array([3, 3], dtype=np.uint64),
+        np.full(50, 2**64 - 1, dtype=np.uint64),
+    ])
+    def test_small_inputs(self, keys):
+        assert np.array_equal(stable_argsort(keys), np.argsort(keys, kind="stable"))
+
+    @pytest.mark.parametrize("distinct", [1, 2, 5, 300, 20_000])
+    def test_heavy_ties_equal_a_stable_sort(self, distinct):
+        rng = np.random.default_rng(distinct)
+        values = rng.integers(0, 2**64, size=distinct, dtype=np.uint64)
+        keys = values[rng.integers(0, distinct, size=20_000)]
+        assert np.array_equal(stable_argsort(keys), np.argsort(keys, kind="stable"))
+
+    def test_frame_bucket_keys(self):
+        frame = keypoint_frame(np.random.default_rng(33), 0, n_keypoints=80)
+        _, buckets = frame_keys(frame.signatures, 0.2, 0.1)
+        assert len(np.unique(buckets)) < len(buckets)  # the frame has shared cells
+        assert np.array_equal(stable_argsort(buckets), np.argsort(buckets, kind="stable"))
+
+
 def keypoint_frame(rng, frame_id, n_keypoints=40):
     """A build_descriptors frame from random key points with axis-clustered
     normals, the way the pipeline makes them."""
@@ -428,6 +500,21 @@ class TestVoteKernel:
         assert same_row(q0, d) and same_row(q1, d)
         assert np.array_equal(s0.vertices, d.vertices + 1.0)
         assert np.array_equal(s1.vertices, d.vertices + 3.0)
+
+    def test_partner_is_earliest_row_among_many_in_one_frame(self):
+        # hundreds of rows of one frame share five cells, more than an
+        # unstable sort keeps in row order
+        rng = np.random.default_rng(26)
+        base = list(synth_frame(rng, 0, 5))
+        picks = rng.integers(0, len(base), size=400)
+        rows = [TriangleDescriptor(base[b].vertices + i, base[b].normals, base[b].sides, 0)
+                for i, b in enumerate(picks.tolist())]
+        db = DescriptorDatabase()
+        db.insert_frame(0, stack_frame(rows, 0))
+        [cand] = db.query_candidates(stack_frame(base, 9), skip_recent=0)
+        assert cand.votes == len(base)
+        first = [int(np.flatnonzero(picks == b)[0]) for b in range(len(base))]
+        assert cand.pairs.stored_rows.tolist() == first
 
     def test_pairs_follow_query_order_and_equal_votes(self):
         rng = np.random.default_rng(24)
@@ -648,3 +735,95 @@ class TestFrameSignatures:
         db.vote_counts(query)
         db.insert_frame(1, query)
         assert db.frames_indexed == 2
+
+
+class TestOneKeyPassPerFrame:
+    """A frame queried and then inserted has its keys computed once, and a
+    query copies no descriptor rows."""
+
+    def count_frame_keys(self, monkeypatch):
+        import triloop.database
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return frame_keys(*args, **kwargs)
+
+        monkeypatch.setattr(triloop.database, "frame_keys", counted)
+        return calls
+
+    def test_query_then_insert_of_one_frame_keys_it_once(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        db = DescriptorDatabase()
+        db.insert_frame(0, keypoint_frame(rng, 0))
+        frame = keypoint_frame(rng, 1)
+        calls = self.count_frame_keys(monkeypatch)
+        db.query_candidates(frame, skip_recent=0)
+        db.insert_frame(1, frame)
+        assert len(calls) == 1
+        assert db.vote_counts(frame)[1] == len(frame)
+
+    def test_insert_of_another_frame_keys_it_again(self, monkeypatch):
+        rng = np.random.default_rng(35)
+        db = DescriptorDatabase()
+        queried, inserted = keypoint_frame(rng, 1), keypoint_frame(rng, 2)
+        db.insert_frame(0, keypoint_frame(rng, 0))
+        calls = self.count_frame_keys(monkeypatch)
+        db.query_candidates(queried, skip_recent=0)
+        db.insert_frame(2, inserted)
+        assert len(calls) == 2
+        # and the equal-content copy of the queried frame is keyed on its own
+        db.insert_frame(1, dataclasses.replace(queried))
+        assert len(calls) == 3
+        assert db.vote_counts(inserted)[2] == len(inserted)
+        assert db.vote_counts(queried)[1] == len(queried)
+
+    def test_query_copies_no_rows(self, monkeypatch):
+        rng = np.random.default_rng(36)
+        db = DescriptorDatabase()
+        stored = keypoint_frame(rng, 0)
+        db.insert_frame(0, stored)
+        db.insert_frame(1, keypoint_frame(rng, 1))
+        query = dataclasses.replace(stored, frame_id=2)
+
+        def copied(self, index):
+            raise AssertionError("descriptor rows copied")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(DescriptorFrame, "__getitem__", copied)
+            cands = db.query_candidates(query, skip_recent=0)
+        assert cands[0].frame_id == 0 and cands[0].votes == len(stored)
+
+    def test_pairs_gather_the_matched_rows(self):
+        rng = np.random.default_rng(37)
+        db = DescriptorDatabase()
+        for f in range(4):
+            db.insert_frame(f, synth_frame(rng, f, 40, side_range=(1.0, 4.0),
+                                           structured_normals=True))
+        query = synth_frame(rng, 9, 60, side_range=(1.0, 4.0), structured_normals=True)
+        cands = db.query_candidates(query, skip_recent=0)
+        assert cands
+        for c in cands:
+            pairs = c.pairs
+            assert pairs.query_frame is query and pairs.stored_frame is db._frames[c.frame_id]
+            for got, frame, rows in ((pairs.query, query, pairs.query_rows),
+                                     (pairs.stored, pairs.stored_frame, pairs.stored_rows)):
+                for column in ("vertices", "normals", "signatures"):
+                    assert np.array_equal(getattr(got, column), getattr(frame, column)[rows])
+                assert got.frame_id == frame.frame_id
+            assert pairs.query is pairs.query  # gathered once
+            src, dst = pairs.vertices()
+            assert np.array_equal(src, pairs.query.vertices)
+            assert np.array_equal(dst, pairs.stored.vertices)
+            mask = np.arange(len(pairs)) % 2 == 0
+            for sub in (pairs[mask], pairs[np.flatnonzero(mask)]):
+                assert np.array_equal(sub.query_rows, pairs.query_rows[mask])
+                assert np.array_equal(sub.stored_rows, pairs.stored_rows[mask])
+                for column in ("vertices", "normals", "signatures"):
+                    assert np.array_equal(getattr(sub.query, column),
+                                          getattr(pairs.query, column)[mask])
+                    assert np.array_equal(getattr(sub.stored, column),
+                                          getattr(pairs.stored, column)[mask])
+            for (q, s), i in zip(pairs, range(len(pairs))):
+                assert same_row(q, pairs.query[i]) and same_row(s, pairs.stored[i])

@@ -5,7 +5,7 @@ import pytest
 
 from triloop import pipeline
 from triloop.database import DescriptorDatabase
-from triloop.descriptors import TriangleDescriptor
+from triloop.descriptors import DescriptorPairs, TriangleDescriptor
 from triloop.errors import EmptyPlaneList, InsufficientOverlap, NoValidTransform
 from triloop.geometry import (
     RigidTransform,
@@ -13,10 +13,12 @@ from triloop.geometry import (
     random_rotation,
     rotation_about_axis,
     rotation_angle_deg,
+    solve_rigid_svd_batch,
 )
 from triloop.loop import (
     MIN_INLIER_PAIRS,
     _count_inliers,
+    _inlier_mask,
     plane_icp,
     plane_overlap,
     ransac_transform,
@@ -254,6 +256,51 @@ class TestBatchedRansacMatchesScalar:
         ]
         assert 0 < sum(expected) < len(src)
         assert _count_inliers(src, dst, R, t, tol).tolist() == expected
+
+    def test_counts_equal_inlier_mask_per_hypothesis(self, monkeypatch):
+        import triloop.loop
+
+        rng = np.random.default_rng(24)
+        truth = RigidTransform(random_rotation(rng), rng.uniform(-10, 10, 3))
+        pairs = (planted_pairs(rng, 30, truth) + scrambled_pairs(rng, 40)
+                 + boundary_pairs(rng, 30, truth, 0.5))
+        src = np.stack([q.vertices for q, _ in pairs])
+        dst = np.stack([s.vertices for _, s in pairs])
+        picks = rng.integers(len(pairs), size=25)
+        R, t = solve_rigid_svd_batch(src[picks], dst[picks])
+        far_src, far_dst = src + 1e6, dst - 2e6
+        nan_dst = dst.copy()
+        nan_dst[3, 1, 2] = np.nan  # a non-finite margin: every row decided exactly
+        # a chunk of 7 pairs, so the pairs span many chunks and a ragged last one
+        monkeypatch.setattr(triloop.loop, "INLIER_CHUNK", 3 * len(R) * 7)
+        for a, b, tol in ((src, dst, 0.5), (src, dst, 0.25), (far_src, far_dst, 0.5),
+                          (src, nan_dst, 0.5), (src[:1], dst[:1], 0.5)):
+            expected = [int(_inlier_mask(a, b, R[h], t[h], tol).sum()) for h in range(len(R))]
+            assert _count_inliers(a, b, R, t, tol).tolist() == expected
+        assert sum(_count_inliers(src, dst, R, t, 0.5)) > 0
+
+    def test_index_pairs_equal_materialized_pairs(self):
+        rng = np.random.default_rng(25)
+        truth = RigidTransform(random_rotation(rng), rng.uniform(-10, 10, 3))
+        pairs = (planted_pairs(rng, 40, truth) + scrambled_pairs(rng, 60)
+                 + boundary_pairs(rng, 20, truth, 0.5))
+        query_at, stored_at = rng.permutation(len(pairs)), rng.permutation(len(pairs))
+        query = stack_frame([pairs[i][0] for i in np.argsort(query_at)], 1)
+        stored = stack_frame([pairs[i][1] for i in np.argsort(stored_at)], 0)
+        # pair i is row query_at[i] of the query frame and stored_at[i] of the stored one
+        indexed = DescriptorPairs(query, stored, query_at, stored_at)
+        rows = np.arange(len(pairs))
+        materialized = DescriptorPairs(query[query_at], stored[stored_at], rows, rows)
+        for seed in range(4):
+            outcome = ransac_outcome(ransac_transform, indexed, seed)
+            assert outcome[0] != "no transform"
+            assert outcome == ransac_outcome(ransac_transform, materialized, seed)
+            assert outcome == ransac_outcome(ransac_transform, stack_pairs(pairs), seed)
+        _, inliers = ransac_transform(indexed, rng=np.random.default_rng(0))
+        _, expected = ransac_transform(materialized, rng=np.random.default_rng(0))
+        assert len(inliers) == len(expected) >= 40
+        assert inliers.query_frame is query and inliers.stored_frame is stored
+        assert np.array_equal(inliers.query_rows, query_at[expected.query_rows])
 
     def test_all_samples_degenerate(self):
         rng = np.random.default_rng(22)
