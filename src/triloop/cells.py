@@ -5,6 +5,10 @@ offset from the cloud's minimum cell, row-major over the cloud's cell box, so
 ascending key order is ascending (ix, iy, iz) order and grouping by cell is a
 1-D sort. Cells that do not fit an int64, or a box too large for the packed
 key, raise CellOutOfRange instead of wrapping around.
+
+Rows of six 64-bit words (a descriptor's cells, a key point's position and
+normal) are hashed with ``mix_words``, and ``stable_argsort`` orders keys
+stably from one unstable sort.
 """
 
 from __future__ import annotations
@@ -14,6 +18,16 @@ import numpy as np
 from .errors import CellOutOfRange
 
 _INT64_MAX = np.iinfo(np.int64).max
+
+_HASH_SEED = 0xCBF29CE484222325
+_MIX_CONSTANTS = (
+    0x9E3779B97F4A7C15,
+    0xC2B2AE3D27D4EB4F,
+    0x165667B19E3779F9,
+    0x27D4EB2F165667C5,
+    0xFF51AFD7ED558CCD,
+    0xC4CEB9FE1A85EC53,
+)
 
 
 def floor_cells(points: np.ndarray, size: float) -> np.ndarray:
@@ -52,3 +66,39 @@ def pack_cells(cells: np.ndarray) -> np.ndarray:
     """Packed int64 key of each cell of a non-empty (N, 3) cell array."""
     lo, dims = cell_box(cells)
     return pack_offsets(cells - lo, dims)
+
+
+def mix_words(words) -> np.ndarray:
+    """64-bit hash of rows given as six uint64 word arrays of one shape, in
+    any memory layout: per word, xor in the word times a constant, then
+    rotate left by 13, in wrapping uint64 arithmetic."""
+    h = np.full(np.shape(words[0]), _HASH_SEED, dtype=np.uint64)
+    term = np.empty_like(h)
+    for word, mult in zip(words, _MIX_CONSTANTS, strict=True):
+        np.multiply(word, np.uint64(mult), out=term)
+        h ^= term
+        np.right_shift(h, np.uint64(51), out=term)
+        h <<= np.uint64(13)
+        h |= term
+    return h
+
+
+def stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")``, from one unstable sort.
+
+    An unstable sort puts each run of equal keys in place but in any order;
+    sorting only the rows inside such runs by (run, index) restores index
+    order within each run, which is what a stable sort gives.
+    """
+    order = np.argsort(keys)
+    ordered = keys[order]
+    starts = np.ones(len(order), dtype=bool)  # row begins a run of equal keys
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    if starts.all():
+        return order
+    tied = ~starts  # rows in runs of two or more
+    tied[:-1] |= tied[1:]
+    positions = np.flatnonzero(tied)
+    run = np.cumsum(starts)[positions]
+    order[positions] = np.sort(run * len(order) + order[positions]) % len(order)
+    return order

@@ -21,18 +21,23 @@ A keyframe is queried and then inserted, so a frame's cells, bucket keys and
 key order are computed once and kept for the insert that follows its query.
 A candidate's matched pairs are row indices into the query frame and the
 stored frame; no descriptor rows are copied.
+
+Snapshots are streamed: ``save`` writes and ``load`` reads one frame record
+at a time, so neither holds more than one record besides the database.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
 import threading
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .cells import mix_words, stable_argsort
 from .descriptors import DescriptorFrame, DescriptorPairs
 from .errors import DuplicateFrame, MalformedRecord
 
@@ -41,16 +46,6 @@ TOP_K_CANDIDATES = 10
 # Nudge values sitting a hair below a cell boundary (an artifact of decimal
 # grid sizes in binary floats) up into the intended cell.
 _QUANT_EPS = 1e-9
-
-_HASH_SEED = 0xCBF29CE484222325
-_MIX_CONSTANTS = (
-    0x9E3779B97F4A7C15,
-    0xC2B2AE3D27D4EB4F,
-    0x165667B19E3779F9,
-    0x27D4EB2F165667C5,
-    0xFF51AFD7ED558CCD,
-    0xC4CEB9FE1A85EC53,
-)
 
 
 def frame_keys(
@@ -69,32 +64,7 @@ def frame_keys(
     cells = np.floor(sig / deltas + _QUANT_EPS).astype(np.int64)
     # int64 -> uint64 reinterpretation is the two's complement of the cell
     words = cells.view(np.uint64)
-    h = np.full(len(cells), _HASH_SEED, dtype=np.uint64)
-    for j, mult in enumerate(_MIX_CONSTANTS):
-        h ^= words[:, j] * np.uint64(mult)
-        h = (h << np.uint64(13)) | (h >> np.uint64(51))
-    return cells, h
-
-
-def stable_argsort(keys: np.ndarray) -> np.ndarray:
-    """``np.argsort(keys, kind="stable")``, from one unstable sort.
-
-    An unstable sort puts each run of equal keys in place but in any order;
-    sorting only the rows inside such runs by (run, index) restores index
-    order within each run, which is what a stable sort gives.
-    """
-    order = np.argsort(keys)
-    ordered = keys[order]
-    starts = np.ones(len(order), dtype=bool)  # row begins a run of equal keys
-    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    if starts.all():
-        return order
-    tied = ~starts  # rows in runs of two or more
-    tied[:-1] |= tied[1:]
-    positions = np.flatnonzero(tied)
-    run = np.cumsum(starts)[positions]
-    order[positions] = np.sort(run * len(order) + order[positions]) % len(order)
-    return order
+    return cells, mix_words([words[:, j] for j in range(6)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,15 +111,18 @@ _DESC_BYTES = _DESC_FLOATS * 8
 def _frame_record(frame: DescriptorFrame) -> np.ndarray:
     """(M, 24) little-endian snapshot rows of one frame."""
     record = np.empty((len(frame), _DESC_FLOATS), dtype="<f8")
-    record[:, 0:9] = frame.vertices.reshape(-1, 9)
     record[:, 9:18] = frame.normals.reshape(-1, 9)
     record[:, 18:21] = frame.sides
-    record[:, 21:24] = frame.vertices.mean(axis=1)
+    vertices = frame.vertices  # gathered once for the vertices and the centroid
+    record[:, 0:9] = vertices.reshape(-1, 9)
+    record[:, 21:24] = vertices.mean(axis=1)
     return record
 
 
 class DescriptorDatabase:
     """All historical descriptors, bucketed by quantized signature."""
+
+    _COLUMNS = ("_cells", "_row_frame", "_row_slot", "_index_keys", "_index_rows")
 
     def __init__(self, delta_l: float = 0.2, delta_n: float = 0.1):
         if not (0 < delta_l < math.inf and 0 < delta_n < math.inf):
@@ -177,6 +150,14 @@ class DescriptorDatabase:
     @property
     def descriptors_indexed(self) -> int:
         return self._descriptors_indexed
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the stored frames and of the row and index columns, the
+        columns at their full capacity."""
+        with self._lock:
+            return (sum(getattr(self, name).nbytes for name in self._COLUMNS)
+                    + sum(frame.nbytes for frame in self._frames.values()))
 
     def _keys(self, frame: DescriptorFrame) -> _FrameKeys:
         cells, buckets = frame_keys(frame.signatures, self.delta_l, self.delta_n)
@@ -220,7 +201,7 @@ class DescriptorDatabase:
         if n_rows <= capacity:
             return
         capacity = max(n_rows, 2 * capacity, 1024)
-        for name in ("_cells", "_row_frame", "_row_slot", "_index_keys", "_index_rows"):
+        for name in self._COLUMNS:
             old = getattr(self, name)
             grown = np.empty((capacity,) + old.shape[1:], dtype=old.dtype)
             grown[: len(old)] = old
@@ -322,68 +303,81 @@ class DescriptorDatabase:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path) -> None:
-        """Write a binary snapshot; loading it reproduces the database exactly.
+        """Write a binary snapshot, one frame record at a time; loading it
+        reproduces the database exactly.
 
         Layout (v1, little-endian): magic, header (version, delta_l, delta_n,
         frame count), then per frame in insertion order its id, descriptor
         count and 24 doubles per descriptor: vertices, normals, sides and
         centroid.
+
+        The records go to a sibling ``.tmp`` file that replaces ``path`` only
+        once all are written, so a failed save leaves a previous snapshot
+        at ``path`` as it was.
         """
+        partial = f"{os.fspath(path)}.tmp"
         with self._lock:
-            chunks = [
-                _SNAPSHOT_MAGIC,
-                _HEADER.pack(_SNAPSHOT_VERSION, self.delta_l, self.delta_n,
-                             len(self._insertion_order)),
-            ]
-            for fid in self._insertion_order:
-                frame = self._frames[fid]
-                chunks.append(_FRAME_HEADER.pack(fid, len(frame)))
-                chunks.append(_frame_record(frame).tobytes())
-            Path(path).write_bytes(b"".join(chunks))
+            try:
+                with open(partial, "wb") as f:
+                    f.write(_SNAPSHOT_MAGIC)
+                    f.write(_HEADER.pack(_SNAPSHOT_VERSION, self.delta_l, self.delta_n,
+                                         len(self._insertion_order)))
+                    for fid in self._insertion_order:
+                        frame = self._frames[fid]
+                        f.write(_FRAME_HEADER.pack(fid, len(frame)))
+                        f.write(_frame_record(frame))
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    os.remove(partial)
+                raise
+            os.replace(partial, path)
 
     @classmethod
     def load(cls, path) -> "DescriptorDatabase":
-        """Read a snapshot written by ``save``; a malformed file, including one
-        holding a NaN or infinite value, raises ``MalformedRecord``."""
-        raw = Path(path).read_bytes()
-        if raw[:8] != _SNAPSHOT_MAGIC:
-            raise MalformedRecord(f"{path}: bad magic, not a descriptor snapshot")
-        offset = len(_SNAPSHOT_MAGIC)
+        """Read a snapshot written by ``save``, one frame record at a time; a
+        malformed file, including one holding a NaN or infinite value, raises
+        ``MalformedRecord``."""
+        with open(path, "rb") as f:
+            size = os.fstat(f.fileno()).st_size
+            if f.read(len(_SNAPSHOT_MAGIC)) != _SNAPSHOT_MAGIC:
+                raise MalformedRecord(f"{path}: bad magic, not a descriptor snapshot")
 
-        def take(n_bytes: int, what: str) -> int:
-            nonlocal offset
-            if len(raw) - offset < n_bytes:
+            def read(n_bytes: int, what: str, rows: int | None = None):
+                """The next n_bytes of the file, as bytes or as (rows, 24)
+                doubles; the size is checked before anything is allocated."""
+                offset = f.tell()
+                if size - offset >= n_bytes:
+                    buffer = (bytearray(n_bytes) if rows is None
+                              else np.empty((rows, _DESC_FLOATS), dtype="<f8"))
+                    if f.readinto(buffer) == n_bytes:
+                        return buffer
                 raise MalformedRecord(
                     f"{path}: truncated snapshot, {what} needs {n_bytes} bytes at "
-                    f"offset {offset}, {len(raw) - offset} left"
+                    f"offset {offset}, {size - offset} left"
                 )
-            offset += n_bytes
-            return offset - n_bytes
 
-        version, delta_l, delta_n, n_frames = _HEADER.unpack_from(
-            raw, take(_HEADER.size, "header"))
-        if version != _SNAPSHOT_VERSION:
-            raise MalformedRecord(f"{path}: unsupported snapshot version {version}")
-        try:
-            db = cls(delta_l=delta_l, delta_n=delta_n)
-        except ValueError as exc:
-            raise MalformedRecord(f"{path}: {exc}") from None
-        for _ in range(n_frames):
-            fid, n_descs = _FRAME_HEADER.unpack_from(
-                raw, take(_FRAME_HEADER.size, "frame header"))
-            start = take(n_descs * _DESC_BYTES, f"frame {fid}")
-            record = np.frombuffer(
-                raw, dtype="<f8", count=n_descs * _DESC_FLOATS, offset=start
-            ).reshape(n_descs, _DESC_FLOATS)
-            if not np.isfinite(record).all():
-                raise MalformedRecord(f"{path}: frame {fid} holds a NaN or infinite value")
-            if fid in db._frames:
-                raise MalformedRecord(f"{path}: frame {fid} appears more than once")
-            db.insert_frame(fid, DescriptorFrame.from_sides(record[:, 0:9].reshape(-1, 3, 3),
-                                                            record[:, 9:18].reshape(-1, 3, 3),
-                                                            record[:, 18:21], fid))
-        if offset != len(raw):
-            raise MalformedRecord(
-                f"{path}: {len(raw) - offset} trailing bytes after the last frame"
-            )
+            version, delta_l, delta_n, n_frames = _HEADER.unpack(read(_HEADER.size, "header"))
+            if version != _SNAPSHOT_VERSION:
+                raise MalformedRecord(f"{path}: unsupported snapshot version {version}")
+            try:
+                db = cls(delta_l=delta_l, delta_n=delta_n)
+            except ValueError as exc:
+                raise MalformedRecord(f"{path}: {exc}") from None
+            # every byte after the frame headers is a descriptor row
+            db._reserve((size - f.tell() - n_frames * _FRAME_HEADER.size) // _DESC_BYTES)
+            for _ in range(n_frames):
+                fid, n_descs = _FRAME_HEADER.unpack(read(_FRAME_HEADER.size, "frame header"))
+                record = read(n_descs * _DESC_BYTES, f"frame {fid}", rows=n_descs)
+                if not np.isfinite(record).all():
+                    raise MalformedRecord(f"{path}: frame {fid} holds a NaN or infinite value")
+                if fid in db._frames:
+                    raise MalformedRecord(f"{path}: frame {fid} appears more than once")
+                frame = DescriptorFrame.from_sides(record[:, 0:9], record[:, 9:18],
+                                                   record[:, 18:21], fid)
+                del record  # before the insert's temporaries
+                db.insert_frame(fid, frame)
+            if f.tell() != size:
+                raise MalformedRecord(
+                    f"{path}: {size - f.tell()} trailing bytes after the last frame"
+                )
         return db

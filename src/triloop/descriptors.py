@@ -7,8 +7,10 @@ two matched triangles without enumerating permutations. Triangles that are
 tiny, near-degenerate, or repeat an already-emitted quantized side triple
 are dropped.
 
-A keyframe's descriptors are one ``DescriptorFrame`` of columns, from
-``build_descriptors`` through the database, verification and snapshots.
+A keyframe's descriptors are one ``DescriptorFrame``, from
+``build_descriptors`` through the database, verification and snapshots: a
+table holding each key point once, and per triangle the table rows of its
+vertices and its six signature values.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from itertools import permutations
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cells import pack_cells
+from .cells import mix_words, pack_cells, stable_argsort
 from .keypoints import KeyPoint
 
 log = logging.getLogger(__name__)
@@ -42,6 +44,9 @@ class TriangleDescriptor:
     frame_id: int
 
 
+_NORMAL_PAIRS = ((0, 1), (1, 2), (0, 2))  # n1.n2, n2.n3, n1.n3
+
+
 def frame_signatures(sides: np.ndarray, normals: np.ndarray) -> np.ndarray:
     """(M, 6) signatures from sides (M, 3) and vertex normals (M, 3, 3): the
     sides, then |n1.n2|, |n2.n3| and |n1.n3|.
@@ -49,59 +54,135 @@ def frame_signatures(sides: np.ndarray, normals: np.ndarray) -> np.ndarray:
     Equal bit for bit, row by row, to the scalar reference ``signature`` in
     ``tests/scalar_descriptors.py``: the stacked matmul forms each normal dot
     product the same way as the scalar ``n1 @ n2`` (einsum and
-    multiply-then-sum differ in the last ulp).
+    multiply-then-sum differ in the last ulp). One dot column at a time, so
+    the temporaries stay at a third of the normals.
     """
     sides = np.asarray(sides, dtype=np.float64).reshape(-1, 3)
     normals = np.asarray(normals, dtype=np.float64).reshape(-1, 3, 3)
-    left = normals[:, [0, 1, 0], None, :]    # n1, n2, n1 as (M, 3, 1, 3)
-    right = normals[:, [1, 2, 2], :, None]   # n2, n3, n3 as (M, 3, 3, 1)
-    dots = np.abs((left @ right)[:, :, 0, 0])
-    return np.hstack([sides, dots])
+    signatures = np.empty((len(sides), 6))
+    signatures[:, :3] = sides
+    for column, (a, b) in enumerate(_NORMAL_PAIRS, start=3):
+        left = normals[:, [a], None, :]   # (M, 1, 1, 3)
+        right = normals[:, [b], :, None]  # (M, 1, 3, 1)
+        signatures[:, column] = np.abs((left @ right)[:, 0, 0, 0])
+    return signatures
+
+
+def _point_table(vertices: np.ndarray, normals: np.ndarray):
+    """The distinct (position, normal) rows of (M, 3, 3) vertices and
+    normals, as (m, 3) positions and (m, 3) normals, and the (M, 3) int32
+    table row of every vertex.
+
+    Rows are equal when their six float64 bit patterns are, so -0.0 and 0.0
+    stay apart. One hash of the six words and one sort group the rows, and
+    every row is checked against its group's table row; on any mismatch (a
+    hash collision) a lexsort of the words groups them instead.
+    """
+    # vertex-major (3, M) words: each hash pass runs over M rows at once
+    words = [a[:, :, k].T.view(np.uint64) for a in (vertices, normals) for k in range(3)]
+    hashes = mix_words(words).ravel()
+    positions, point_normals, ids = _group(np.argsort(hashes), [hashes], vertices, normals)
+    if not all(np.array_equal(rows.view(np.uint64), np.take(table.view(np.uint64), ids, axis=0))
+               for rows, table in ((vertices, positions), (normals, point_normals))):
+        flat = [word.ravel() for word in words]
+        order = np.lexsort([word.view(np.int64) for word in reversed(flat)])
+        positions, point_normals, ids = _group(order, flat, vertices, normals)
+    return positions, point_normals, ids
+
+
+def _group(order: np.ndarray, keys, vertices: np.ndarray, normals: np.ndarray):
+    """Table positions, normals and (M, 3) int32 vertex ids, given an order
+    of the 3M vertices (vertex-major: vertex j of row r is j * M + r) that
+    makes equal keys adjacent. Table rows come in that order; each is one
+    vertex of its group."""
+    starts = np.zeros(len(order), dtype=bool)  # ordered vertex begins a group
+    starts[:1] = True
+    for key in keys:
+        ordered = key[order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
+    ids = np.empty(len(order), dtype=np.int32)
+    ids[order] = np.cumsum(starts, dtype=np.int32) - 1
+    vertex, row = np.divmod(order[starts], len(vertices))
+    return (vertices[row, vertex], normals[row, vertex],
+            np.ascontiguousarray(ids.reshape(3, -1).T))
 
 
 @dataclass(frozen=True, eq=False)
 class DescriptorFrame:
-    """One keyframe's descriptors as float64 columns, a row per triangle.
+    """One keyframe's descriptors: a table of key points, and a row per
+    triangle that refers to its three vertices in the table.
 
-    ``signatures`` holds each row's six rigid-invariant attributes, the ones
-    the database quantizes: sides l12, l23, l13, then |n1.n2|, |n2.n3| and
-    |n1.n3|. It is computed once, by ``from_sides``, when a frame is built or
-    loaded; ``sides`` is a view of its first three columns. An integer index
+    The table holds each key point once, its ``positions`` (m, 3) and
+    ``point_normals`` (m, 3). A row holds ``vertex_ids``, the table rows of
+    p1, p2 and p3 (int32), and ``signatures``, its six rigid-invariant
+    attributes, the ones the database quantizes: sides l12, l23, l13, then
+    |n1.n2|, |n2.n3| and |n1.n3|. That is 60 bytes per row. The signatures are
+    computed once, when a frame is built or loaded; ``sides`` is a view of
+    their first three columns. ``vertices`` and ``normals`` gather (M, 3, 3)
+    arrays from the table on every access; they are not kept. An integer index
     gives that row as a ``TriangleDescriptor``; a slice, a mask or an index
-    array gives a frame of those rows, signatures included.
+    array gives a frame of those rows that shares the table.
     """
 
-    vertices: np.ndarray    # (M, 3, 3)
-    normals: np.ndarray     # (M, 3, 3)
-    signatures: np.ndarray  # (M, 6)
+    positions: np.ndarray      # (m, 3) key-point table
+    point_normals: np.ndarray  # (m, 3)
+    vertex_ids: np.ndarray     # (M, 3) int32 table rows of p1, p2, p3
+    signatures: np.ndarray     # (M, 6)
     frame_id: int
 
     def __post_init__(self):
         if self.signatures.shape[1:] != (6,):
             raise ValueError(f"signatures must be (M, 6), got {self.signatures.shape}")
+        if self.vertex_ids.shape != (len(self.signatures), 3):
+            raise ValueError(f"vertex_ids must be (M, 3) for {len(self.signatures)} "
+                             f"signatures, got {self.vertex_ids.shape}")
 
     @classmethod
     def from_sides(cls, vertices, normals, sides, frame_id: int) -> DescriptorFrame:
-        """The frame of the given columns, its signatures computed here."""
-        return cls(vertices, normals, frame_signatures(sides, normals), frame_id)
+        """The frame of arbitrary rows given as (M, 3, 3) vertices and
+        normals and (M, 3) sides; its signatures and key-point table are
+        computed here, the table from the rows' bit patterns."""
+        vertices = np.asarray(vertices, dtype=np.float64).reshape(-1, 3, 3)
+        normals = np.asarray(normals, dtype=np.float64).reshape(-1, 3, 3)
+        positions, point_normals, vertex_ids = _point_table(vertices, normals)
+        return cls(positions, point_normals, vertex_ids, frame_signatures(sides, normals),
+                   frame_id)
 
     @classmethod
     def empty(cls, frame_id: int) -> DescriptorFrame:
-        return cls(np.empty((0, 3, 3)), np.empty((0, 3, 3)), np.empty((0, 6)), frame_id)
+        return cls(np.empty((0, 3)), np.empty((0, 3)), np.empty((0, 3), dtype=np.int32),
+                   np.empty((0, 6)), frame_id)
+
+    @property
+    def vertices(self) -> np.ndarray:
+        """(M, 3, 3) rows p1, p2, p3, gathered from the table."""
+        return self.positions[self.vertex_ids]
+
+    @property
+    def normals(self) -> np.ndarray:
+        """(M, 3, 3) rows n1, n2, n3, gathered from the table."""
+        return self.point_normals[self.vertex_ids]
 
     @property
     def sides(self) -> np.ndarray:
         """(M, 3) sides, ascending per row; a view of the signatures."""
         return self.signatures[:, :3]
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the table and of the rows."""
+        return (self.positions.nbytes + self.point_normals.nbytes
+                + self.vertex_ids.nbytes + self.signatures.nbytes)
+
     def __len__(self) -> int:
         return len(self.signatures)
 
     def __getitem__(self, index):
         if isinstance(index, (int, np.integer)):
-            return TriangleDescriptor(self.vertices[index], self.normals[index],
+            ids = self.vertex_ids[index]
+            return TriangleDescriptor(self.positions[ids], self.point_normals[ids],
                                       self.signatures[index, :3], self.frame_id)
-        return DescriptorFrame(self.vertices[index], self.normals[index],
+        return DescriptorFrame(self.positions, self.point_normals, self.vertex_ids[index],
                                self.signatures[index], self.frame_id)
 
     def __iter__(self):
@@ -139,8 +220,9 @@ class DescriptorPairs:
 
     def vertices(self) -> tuple[np.ndarray, np.ndarray]:
         """The (P, 3, 3) vertices of the query rows and of the stored rows."""
-        return (self.query_frame.vertices[self.query_rows],
-                self.stored_frame.vertices[self.stored_rows])
+        query, stored = self.query_frame, self.stored_frame
+        return (query.positions[query.vertex_ids[self.query_rows]],
+                stored.positions[stored.vertex_ids[self.stored_rows]])
 
     def __len__(self) -> int:
         return len(self.query_rows)
@@ -198,8 +280,8 @@ def build_descriptors(
         log.warning("frame %d: %d key points, need 3 for descriptors", frame_id, len(keypoints))
         return DescriptorFrame.empty(frame_id)
 
-    positions = np.array([kp.position for kp in keypoints])
-    normals = np.array([kp.normal for kp in keypoints])
+    positions = np.array([kp.position for kp in keypoints], dtype=np.float64)
+    normals = np.array([kp.normal for kp in keypoints], dtype=np.float64)
     order = np.lexsort(positions.T[::-1])  # stable, like sorting position tuples
     positions, normals = positions[order], normals[order]
     m = len(positions)
@@ -251,10 +333,37 @@ def build_descriptors(
 
     # sort by side triple; deduplication left no two rows with equal sides,
     # so the vertex coordinates never break a tie
-    by_sides = np.lexsort(lengths.T[::-1])
-    vertex_ids = vertex_ids[by_sides]
-    return DescriptorFrame.from_sides(
-        positions[vertex_ids], normals[vertex_ids], lengths[by_sides], frame_id)
+    by_sides = side_order(lengths)
+    vertex_ids = vertex_ids[by_sides].astype(np.int32)
+    lengths = lengths[by_sides]
+    return DescriptorFrame(positions, normals, vertex_ids,
+                           frame_signatures(lengths, normals[vertex_ids]), frame_id)
+
+
+_RANK_BITS = 21  # three ranks fill the 63 value bits of an int64
+
+
+def side_order(lengths: np.ndarray) -> np.ndarray:
+    """``np.lexsort(lengths.T[::-1])`` of (M, 3) finite side triples: rows
+    by first, then second, then third side, equal rows in index order.
+
+    All 3M values are dense-ranked with one sort, and a row's three ranks
+    packed into one int64 key are sorted stably; past 2**21 distinct values
+    the ranks do not fit the key and the lexsort runs instead.
+    """
+    values = lengths.ravel()
+    by_value = np.argsort(values)
+    ordered = values[by_value]
+    new = np.empty(len(values), dtype=bool)  # sorted value differs from the last
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    if np.count_nonzero(new) > 1 << _RANK_BITS:
+        return np.lexsort(lengths.T[::-1])
+    ranks = np.empty(len(values), dtype=np.int64)
+    ranks[by_value] = np.cumsum(new) - 1
+    ranks = ranks.reshape(-1, 3)
+    return stable_argsort((ranks[:, 0] << 2 * _RANK_BITS) | (ranks[:, 1] << _RANK_BITS)
+                          | ranks[:, 2])
 
 
 def _first_extreme(columns, at_least_as) -> np.ndarray:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from triloop.database import _HASH_SEED, _MIX_CONSTANTS, _QUANT_EPS
+from triloop.cells import _HASH_SEED, _MIX_CONSTANTS
+from triloop.database import _QUANT_EPS
 from triloop.descriptors import DescriptorFrame, DescriptorPairs
 
 _MASK64 = (1 << 64) - 1

@@ -1,6 +1,7 @@
 import dataclasses
 import struct
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -668,6 +669,104 @@ class TestSnapshotFormat:
             DescriptorDatabase.load(path)
 
 
+class TestStreamedSnapshot:
+    """``save`` writes and ``load`` reads one frame record at a time."""
+
+    def boundaries(self, db):
+        """Offsets where the magic, the header, each frame header and each
+        descriptor row of db's snapshot end."""
+        ends = [8, 8 + 28]
+        for fid in db._insertion_order:
+            ends.append(ends[-1] + 16)
+            ends += [ends[-1] + 192 * (row + 1) for row in range(len(db._frames[fid]))]
+        return ends
+
+    def test_cut_at_every_boundary_rejected(self, tmp_path):
+        db, raw = TestSnapshotFormat().make_db()
+        ends = self.boundaries(db)
+        assert ends[-1] == len(raw)
+        path = tmp_path / "cut.bin"
+        for size in [0, 5] + ends[:-1] + [len(raw) - 1]:
+            path.write_bytes(raw[:size])
+            with pytest.raises(MalformedRecord, match="truncated" if size >= 8 else "magic"):
+                DescriptorDatabase.load(path)
+        path.write_bytes(raw)
+        assert DescriptorDatabase.load(path).descriptors_indexed == db.descriptors_indexed
+
+    @pytest.mark.parametrize("make_frame", [
+        lambda rng, f: keypoint_frame(rng, f, n_keypoints=60),
+        lambda rng, f: synth_frame(rng, f, 1000),
+    ], ids=["shared key points", "distinct vertices"])
+    def test_temporary_memory_follows_the_largest_frame_not_the_file(self, tmp_path,
+                                                                     make_frame):
+        # load rebuilds each frame's table: small when rows share key points,
+        # as large as the rows when every vertex is distinct
+        rng = np.random.default_rng(47)
+        db = DescriptorDatabase()
+        for f in range(10):
+            db.insert_frame(f, make_frame(rng, f))
+        largest = max(len(frame) for frame in db._frames.values()) * 192
+        path = tmp_path / "db.bin"
+        tracemalloc.start()
+        try:
+            db.save(path)
+            tracemalloc.reset_peak()
+            db.save(path)
+            current, peak = tracemalloc.get_traced_memory()
+            save_peak = peak - current
+            tracemalloc.reset_peak()
+            loaded = DescriptorDatabase.load(path)
+            current, peak = tracemalloc.get_traced_memory()
+            load_peak = peak - current
+        finally:
+            tracemalloc.stop()
+        assert largest > 100_000 and path.stat().st_size > 8 * largest
+        assert save_peak < 2 * largest, (save_peak, largest)
+        assert load_peak < 2 * largest, (load_peak, largest)
+        assert loaded.descriptors_indexed == db.descriptors_indexed
+
+    def test_failed_save_keeps_the_previous_snapshot(self, tmp_path, monkeypatch):
+        import triloop.database
+        db, raw = TestSnapshotFormat().make_db()
+        path = tmp_path / "db.bin"
+        db.save(path)
+        records, frame_record = [], triloop.database._frame_record
+
+        def second_record_fails(frame):
+            if records:
+                raise MemoryError("no room for the record")
+            records.append(frame.frame_id)
+            return frame_record(frame)
+
+        monkeypatch.setattr(triloop.database, "_frame_record", second_record_fails)
+        db.insert_frame(8, synth_frame(np.random.default_rng(49), 8, 5))
+        with pytest.raises(MemoryError):
+            db.save(path)
+        assert records == [7]
+        assert path.read_bytes() == raw
+        assert [p.name for p in tmp_path.iterdir()] == ["db.bin"]
+        loaded = DescriptorDatabase.load(path)
+        assert loaded.descriptors_indexed == db.descriptors_indexed - 5
+
+    def test_load_reserves_the_index_once(self, tmp_path):
+        rng = np.random.default_rng(48)
+        db = DescriptorDatabase()
+        assert db.nbytes == 0
+        for f in range(3):
+            db.insert_frame(f, keypoint_frame(rng, f))
+        rows = db.descriptors_indexed
+        assert rows > 1024
+        frames = sum(frame.nbytes for frame in db._frames.values())
+        # insert grows the columns geometrically, 80 bytes per row of capacity
+        assert db.nbytes == frames + 80 * len(db._row_frame) > frames + 80 * rows
+        path = tmp_path / "db.bin"
+        db.save(path)
+        loaded = DescriptorDatabase.load(path)
+        # load sizes them once, from the file, to the rows it holds
+        loaded_frames = sum(frame.nbytes for frame in loaded._frames.values())
+        assert loaded.nbytes == loaded_frames + 80 * rows
+
+
 def assert_signatures_match_scalar(frame):
     expected = np.array([signature(d) for d in frame]).reshape(-1, 6)
     assert frame.signatures.shape == (len(frame), 6)
@@ -714,7 +813,8 @@ class TestFrameSignatures:
     def test_frame_rejects_sides_in_place_of_signatures(self):
         frame = synth_frame(np.random.default_rng(31), 0, 3)
         with pytest.raises(ValueError, match="signatures"):
-            DescriptorFrame(frame.vertices, frame.normals, frame.sides, 0)
+            DescriptorFrame(frame.positions, frame.point_normals, frame.vertex_ids,
+                            frame.sides, 0)
 
     def test_query_and_insert_do_not_recompute_signatures(self, monkeypatch):
         import triloop.database

@@ -1,13 +1,15 @@
 from itertools import permutations
 
 import numpy as np
+import pytest
 from scipy.spatial import cKDTree
 
-from triloop.descriptors import DescriptorFrame, build_descriptors
+import triloop.descriptors
+from triloop.descriptors import DescriptorFrame, build_descriptors, side_order
 from triloop.geometry import RigidTransform, random_rotation
 from triloop.keypoints import KeyPoint
 
-from scalar_descriptors import centroid, signature
+from scalar_descriptors import centroid, signature, stack_frame
 
 
 def make_kps(positions, normals=None, frame_id=0):
@@ -228,3 +230,132 @@ class TestSignature:
         [a] = build_descriptors(make_kps(pts, normals), 20)
         [b] = build_descriptors(make_kps(pts, -normals), 20)
         assert np.allclose(signature(a), signature(b), atol=1e-12)
+
+
+def random_frame(rng, n_keypoints=140, frame_id=0):
+    """A build_descriptors frame of random key points, about as many
+    descriptors as a pipeline keyframe."""
+    positions = rng.uniform(0.0, 1.0, size=(n_keypoints, 3)) * np.array([50.0, 50.0, 8.0])
+    normals = np.eye(3)[rng.integers(3, size=n_keypoints)]
+    normals = normals + rng.normal(scale=0.05, size=(n_keypoints, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    return build_descriptors(make_kps(positions, normals, frame_id), 20, frame_id=frame_id)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSideOrder:
+    """``side_order`` sorts rows by side triple with one argsort of packed
+    dense ranks and must equal ``np.lexsort``, ties included."""
+
+    def inputs(self):
+        rng = np.random.default_rng(40)
+        tied = rng.integers(0, 4, size=(2000, 3)).astype(np.float64) * 0.5
+        tied[::7] = tied[3]  # whole rows repeated, so the index order shows
+        lattice = np.sort(np.linalg.norm(
+            lattice_points(rng, 60)[rng.integers(60, size=(3000, 3))]
+            - lattice_points(rng, 60)[rng.integers(60, size=(3000, 3))], axis=2), axis=1)
+        yield "random", np.sort(rng.uniform(0.5, 30.0, size=(5000, 3)), axis=1)
+        yield "tied components", tied
+        yield "lattice", lattice
+        yield "signed zeros", np.array([[0.0, 1.0, 2.0], [-0.0, 1.0, 2.0], [0.0, -0.0, 1.0]])
+        yield "one row", np.array([[1.0, 2.0, 3.0]])
+        yield "empty", np.empty((0, 3))
+
+    def test_equals_lexsort(self):
+        for name, lengths in self.inputs():
+            assert np.array_equal(side_order(lengths), np.lexsort(lengths.T[::-1])), name
+
+    def test_too_many_ranks_falls_back_to_lexsort(self, monkeypatch):
+        monkeypatch.setattr(triloop.descriptors, "_RANK_BITS", 3)
+        for name, lengths in self.inputs():
+            assert np.array_equal(side_order(lengths), np.lexsort(lengths.T[::-1])), name
+
+
+class TestCompactFrame:
+    """A frame holds each key point once, in its table, and its rows refer to
+    the table by index."""
+
+    def test_gathered_columns_equal_the_scalar_rows(self):
+        rng = np.random.default_rng(42)
+        pts = rng.uniform(0, 30, size=(30, 3))
+        normals = rng.normal(size=(30, 3))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        kps = make_kps(pts, normals)
+        frame = build_descriptors(kps, k_neighbors=20)
+        expected = oracle_descriptors(kps, k_neighbors=20)
+        assert len(frame) == len(expected) > 100
+        assert same_bits(frame.vertices, np.array([e["vertices"] for e in expected]))
+        assert same_bits(frame.normals, np.array([e["normals"] for e in expected]))
+        # the same rows stacked by the scalar reference, table found by from_sides
+        restacked = stack_frame(list(frame), 0)
+        for column in ("vertices", "normals", "signatures"):
+            assert same_bits(getattr(restacked, column), getattr(frame, column)), column
+        assert same_bits(frame.signatures, np.array([signature(d) for d in frame]))
+        for i, row in enumerate(frame):
+            assert same_bits(row.vertices, frame.positions[frame.vertex_ids[i]])
+            assert same_bits(row.normals, frame.point_normals[frame.vertex_ids[i]])
+
+    def test_slices_masks_and_index_arrays_share_the_table(self):
+        rng = np.random.default_rng(43)
+        frame = random_frame(rng)
+        for sub in (frame[10:500], frame[frame.sides[:, 0] > 5.0],
+                    frame[rng.permutation(len(frame))[:50]]):
+            assert sub.positions is frame.positions
+            assert sub.point_normals is frame.point_normals
+            assert np.shares_memory(sub.positions, frame.positions)
+        assert np.shares_memory(frame[10:500].vertex_ids, frame.vertex_ids)
+        assert np.shares_memory(frame[10:500].signatures, frame.signatures)
+
+    def test_rows_hold_sixty_bytes_and_the_table_each_key_point_once(self):
+        frame = random_frame(np.random.default_rng(44))
+        assert len(frame) >= 1000
+        table = frame.positions.nbytes + frame.point_normals.nbytes
+        assert len(frame.positions) == 140
+        assert frame.vertex_ids.dtype == np.int32
+        assert frame.nbytes <= 64 * len(frame) + table
+        assert frame.nbytes == 60 * len(frame) + table
+        # gathered on every access, not kept
+        assert frame.vertices is not frame.vertices
+
+    def test_from_sides_keeps_every_bit_pattern(self):
+        # -0.0 beside 0.0 in positions and normals, and one position carrying
+        # two normals: equal values, distinct bits, so distinct table rows
+        p, q, r = [0.0, 1.0, 2.0], [-0.0, 1.0, 2.0], [3.0, 0.0, 1.0]
+        up, down = [0.0, 0.0, 1.0], [0.0, -0.0, 1.0]
+        side = [[1.0, 2.0, 2.5]]
+        vertices = np.array([[p, q, r], [r, p, q], [p, p, r]])
+        normals = np.array([[up, up, up], [up, up, down], [up, down, up]])
+        sides = np.repeat(side, 3, axis=0)
+        frame = DescriptorFrame.from_sides(vertices, normals, sides, 5)
+        assert same_bits(frame.vertices, vertices) and same_bits(frame.normals, normals)
+        assert same_bits(frame.sides, sides) and frame.frame_id == 5
+        # (p, up), (q, up), (r, up), (q, down), (p, down); (r, up) shared
+        assert len(frame.positions) == 5
+        again = DescriptorFrame.from_sides(frame.vertices, frame.normals, frame.sides, 5)
+        for column in ("vertices", "normals", "signatures"):
+            assert same_bits(getattr(again, column), getattr(frame, column))
+
+    def test_hash_collisions_fall_back_to_lexsort(self, monkeypatch):
+        rng = np.random.default_rng(45)
+        frame = random_frame(rng, n_keypoints=40)
+        rows = (frame.vertices, frame.normals, frame.sides)
+        hashed = DescriptorFrame.from_sides(*rows, 0)
+        # every row in one hash group: each check fails and the lexsort groups
+        monkeypatch.setattr(triloop.descriptors, "mix_words",
+                            lambda words: np.zeros(np.shape(words[0]), dtype=np.uint64))
+        collided = DescriptorFrame.from_sides(*rows, 0)
+        for column in ("vertices", "normals", "signatures"):
+            assert same_bits(getattr(collided, column), getattr(hashed, column))
+        assert len(collided.positions) == len(hashed.positions) == 40
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_empty_and_one_row(self, n):
+        rng = np.random.default_rng(46)
+        vertices, normals = rng.normal(size=(n, 3, 3)), rng.normal(size=(n, 3, 3))
+        frame = DescriptorFrame.from_sides(vertices, normals, np.ones((n, 3)), 2)
+        assert len(frame) == n and frame.vertex_ids.shape == (n, 3)
+        assert same_bits(frame.vertices, vertices) and same_bits(frame.normals, normals)

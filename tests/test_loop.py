@@ -454,8 +454,8 @@ class TestVerifyLoop:
         # query vertices are the stored ones pulled back through the truth
         inv = truth.inverse()
         query = dataclasses.replace(
-            stored, vertices=stored.vertices @ inv.R.T + inv.t,
-            normals=stored.normals @ inv.R.T, frame_id=1,
+            stored, positions=stored.positions @ inv.R.T + inv.t,
+            point_normals=stored.point_normals @ inv.R.T, frame_id=1,
         )
         planes = random_planes(rng, 50)
         db = DescriptorDatabase()
