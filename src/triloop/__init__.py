@@ -19,7 +19,7 @@ from .ingest import (
     read_poses,
     voxel_downsample,
 )
-from .keypoints import KeyPoint, PlaneImage, extract_keypoints, keyframe_keypoints
+from .keypoints import KeyPoint, keyframe_keypoints
 from .loop import (
     ScoredCandidate,
     plane_icp,
@@ -29,7 +29,7 @@ from .loop import (
     select_loop,
 )
 from .pipeline import FrameExtraction, MatchingSession, PipelineConfig, extract_frame
-from .planes import Plane, VoxelMap, build_voxel_map, grow_planes, is_plane_voxel
+from .planes import PlaneSet, VoxelMap, build_voxel_map, grow_planes, is_plane_voxel
 
 __version__ = "0.1.0"
 
@@ -44,8 +44,7 @@ __all__ = [
     "KeyPoint",
     "MatchingSession",
     "PipelineConfig",
-    "Plane",
-    "PlaneImage",
+    "PlaneSet",
     "RigidTransform",
     "Scan",
     "ScoredCandidate",
@@ -56,7 +55,6 @@ __all__ = [
     "build_descriptors",
     "build_voxel_map",
     "extract_frame",
-    "extract_keypoints",
     "grow_planes",
     "is_plane_voxel",
     "keyframe_keypoints",

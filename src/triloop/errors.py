@@ -33,10 +33,6 @@ class NonPositiveLeaf(TriloopError, ValueError):
     """Voxel/pixel size must be strictly positive."""
 
 
-class NoBoundary(TriloopError):
-    """Plane has no boundary voxels; it yields no key points."""
-
-
 class DuplicateFrame(TriloopError):
     """Frame id was already inserted into the descriptor database."""
 
@@ -46,7 +42,7 @@ class NoValidTransform(TriloopError):
 
 
 class EmptyPlaneList(TriloopError, ValueError):
-    """Plane overlap needs a non-empty plane list on both sides."""
+    """Plane overlap needs a non-empty plane set on both sides."""
 
 
 class InsufficientOverlap(TriloopError):

@@ -10,12 +10,12 @@ Ties are broken by index on both steps: a pixel keeps the lowest-index point
 among those at its maximum distance, and of two equal pixels in one window
 the one earlier in row-major order wins.
 
-A keyframe's planes are handled together. Their images share one flat
-mosaic: each image sits in its own block, framed by NMS_RADIUS empty pixels,
-so one scatter of maxima rasterizes every plane and one windowed comparison
-suppresses every candidate pixel without a window reaching into another
-plane. ``project_boundary``, ``rasterize`` and ``extract_keypoints`` are the
-one-plane case of the same kernel.
+A keyframe's planes, one PlaneSet, are handled together: their boundary
+points are one gather of the set's boundary voxel rows, and their images
+share one flat mosaic. Each image sits in its own block, framed by
+NMS_RADIUS empty pixels, so one scatter of maxima fills every plane's image
+and one windowed comparison suppresses every candidate pixel without a window
+reaching into another plane.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoBoundary, NonPositiveLeaf
-from .planes import Plane, VoxelMap
+from .errors import NonPositiveLeaf
+from .planes import PlaneSet, VoxelMap
 
 NMS_RADIUS = 2  # 5x5 neighborhood
 
@@ -49,22 +49,6 @@ class KeyPoint:
     plane_id: int
     frame_id: int
     strength: float       # pixel value (point-to-plane distance, meters)
-
-
-@dataclass
-class PlaneImage:
-    """Raster of max point-to-plane distances over one plane's boundary points."""
-
-    plane_id: int
-    origin: np.ndarray        # (3,) plane center
-    e1: np.ndarray            # (3,) in-plane axis
-    e2: np.ndarray            # (3,) in-plane axis, u x e1
-    normal: np.ndarray        # (3,)
-    pixel_size: float
-    offset: tuple[int, int]   # pixel index of grid[0, 0]
-    values: np.ndarray        # (h, w) max distance, -inf where empty
-    sources: np.ndarray       # (h, w) index into points, -1 where empty
-    points: np.ndarray        # (m, 3) original 3D boundary points
 
 
 @dataclass(frozen=True)
@@ -97,13 +81,6 @@ class _Mosaic:
         return self.base[image] + rel[:, 0] * self.stride[image] + rel[:, 1]
 
 
-def plane_axes(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic in-plane basis: e1 from the global axis least aligned
-    with the normal, e2 = normal x e1."""
-    e1, e2 = _plane_axes(np.asarray(normal, dtype=np.float64).reshape(1, 3))
-    return e1[0], e2[0]
-
-
 def _plane_axes(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """In-plane axes (P, 3), (P, 3) of P unit normals.
 
@@ -128,35 +105,13 @@ def _plane_axes(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
-def project_boundary(
-    plane: Plane,
-    voxmap: VoxelMap,
-    axes: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Project the plane's boundary-voxel points onto the plane.
-
-    Returns (points, distances, uv): the original 3D points, their unsigned
-    point-to-plane distances, and their 2D in-plane coordinates.
-    """
-    if not plane.boundary_cells:
-        raise NoBoundary(f"plane {plane.id} has no boundary voxels")
-    points, bounds = _boundary_points([plane], voxmap)
-    e1, e2 = plane_axes(plane.normal) if axes is None else axes
-    distances, uv = _project(points, bounds, np.array([plane.center]),
-                             np.array([plane.normal]), np.array([e1]), np.array([e2]))
-    return points, distances, uv
-
-
-def _boundary_points(planes: list[Plane], voxmap: VoxelMap) -> tuple[np.ndarray, np.ndarray]:
-    """Every plane's boundary-voxel points, plane after plane and in
-    boundary-cell order within one, from one lookup and one gather; plane p
-    holds rows bounds[p]:bounds[p + 1]."""
-    rows = voxmap.lookup([c for plane in planes for c in plane.boundary_cells])
-    if np.any(rows < 0):
-        raise KeyError("boundary cells outside the voxel map")
+def _boundary_points(planes: PlaneSet, voxmap: VoxelMap) -> tuple[np.ndarray, np.ndarray]:
+    """Every plane's boundary-voxel points, plane after plane and in search
+    order within one, from one gather; plane p holds rows
+    bounds[p]:bounds[p + 1]."""
+    rows = planes.boundary_rows
     sizes = voxmap.offsets[rows + 1] - voxmap.offsets[rows]
-    ends = np.cumsum([len(plane.boundary_cells) for plane in planes])
-    bounds = np.concatenate([[0], np.cumsum(sizes)[ends - 1]])
+    bounds = np.concatenate([[0], np.cumsum(sizes)])[planes.boundary_offsets]
     return voxmap.points_of(rows), bounds
 
 
@@ -214,63 +169,8 @@ def _nms(values: np.ndarray, centers: np.ndarray, strides: np.ndarray) -> np.nda
     return ((window < v) | (~_EARLIER & (window == v))).all(axis=1)
 
 
-def rasterize(
-    points: np.ndarray,
-    distances: np.ndarray,
-    uv: np.ndarray,
-    pixel_size: float,
-    plane: Plane,
-    axes: tuple[np.ndarray, np.ndarray] | None = None,
-) -> PlaneImage:
-    """Bin projections into pixels, keeping the max distance per pixel.
-
-    On a tie the pixel keeps the point with the lowest index.
-    """
-    mosaic, _, values, sources = _raster(distances, uv, np.array([0, len(points)]), pixel_size)
-    (h, w), r = mosaic.shape[0].tolist(), NMS_RADIUS
-    image = np.s_[r:r + h, r:r + w]  # the image inside the mosaic's one block
-    e1, e2 = plane_axes(plane.normal) if axes is None else axes
-    return PlaneImage(
-        plane_id=plane.id,
-        origin=plane.center,
-        e1=e1,
-        e2=e2,
-        normal=plane.normal,
-        pixel_size=pixel_size,
-        offset=tuple(mosaic.lo[0].tolist()),
-        values=values.reshape(h + 2 * r, w + 2 * r)[image],
-        sources=sources.reshape(h + 2 * r, w + 2 * r)[image],
-        points=points,
-    )
-
-
-def extract_keypoints(img: PlaneImage, min_dist: float, frame_id: int = 0) -> list[KeyPoint]:
-    """Non-max suppression over 5x5 neighborhoods of occupied pixels.
-
-    A pixel survives when its value is >= min_dist and strictly greater than
-    every other occupied pixel in the window; exact ties go to the lower
-    linearized pixel index. Empty pixels hold -inf.
-    """
-    mosaic = _Mosaic.of(np.zeros((1, 2), dtype=np.int64), np.array([img.values.shape]) - 1)
-    padded = np.pad(img.values, NMS_RADIUS, constant_values=-np.inf)  # the mosaic's one block
-    rows, cols = np.nonzero(np.isfinite(img.values) & (img.values >= min_dist))
-    image = np.zeros(len(rows), dtype=np.int64)
-    centers = mosaic.flat(image, np.column_stack([rows, cols]))
-    wins = _nms(padded.ravel(), centers, mosaic.stride[image])
-    return [
-        KeyPoint(
-            position=img.points[img.sources[rr, cc]].copy(),
-            normal=img.normal.copy(),
-            plane_id=img.plane_id,
-            frame_id=frame_id,
-            strength=float(img.values[rr, cc]),
-        )
-        for rr, cc in zip(rows[wins].tolist(), cols[wins].tolist())
-    ]
-
-
 def keyframe_keypoints(
-    planes: list[Plane],
+    planes: PlaneSet,
     voxmap: VoxelMap,
     pixel_size: float = 0.5,
     min_dist: float = 0.2,
@@ -285,14 +185,15 @@ def keyframe_keypoints(
     """
     if max_keypoints < 0:
         raise ValueError(f"max_keypoints must be >= 0, got {max_keypoints}")
-    planes = [plane for plane in planes if plane.boundary_cells]
-    if not planes:
+    has_boundary = np.diff(planes.boundary_offsets) > 0
+    if not has_boundary.any():
         return []
+    ids = np.flatnonzero(has_boundary)
+    planes = planes[has_boundary]
     points, bounds = _boundary_points(planes, voxmap)
-    normals = np.array([plane.normal for plane in planes], dtype=np.float64)
+    normals = planes.normals
     e1, e2 = _plane_axes(normals)
-    centers = np.array([plane.center for plane in planes], dtype=np.float64)
-    distances, uv = _project(points, bounds, centers, normals, e1, e2)
+    distances, uv = _project(points, bounds, planes.centers, normals, e1, e2)
 
     mosaic, image, values, sources = _raster(distances, uv, bounds, pixel_size)
     pixels = np.flatnonzero((sources >= 0) & (values >= min_dist))
@@ -300,7 +201,7 @@ def keyframe_keypoints(
     found = candidates[_nms(values, pixels, mosaic.stride[image[candidates]])]
 
     strength = distances[found]
-    plane_ids = np.array([plane.id for plane in planes], dtype=np.int64)[image[found]]
+    plane_ids = ids[image[found]]
     position = points[found]
     keep = np.lexsort((position[:, 2], position[:, 1], position[:, 0], plane_ids, -strength))
     keep = keep[:max_keypoints]

@@ -33,7 +33,7 @@ from .geometry import (
     solve_rigid_svd,
     solve_rigid_svd_batch,
 )
-from .planes import Plane
+from .planes import PlaneSet
 
 MIN_INLIER_PAIRS = 4
 MIN_REFINE_PAIRS = 10
@@ -177,8 +177,8 @@ def _normal_residuals(rotated_normals: np.ndarray, target_normals: np.ndarray) -
 
 
 def plane_overlap(
-    current: list[Plane],
-    candidate: list[Plane],
+    current: PlaneSet,
+    candidate: PlaneSet,
     transform: RigidTransform,
     sigma_n: float = 0.2,
     sigma_d: float = 0.3,
@@ -190,13 +190,12 @@ def plane_overlap(
     sigma_n and the point-to-plane distance is below sigma_d.
     """
     if not current or not candidate:
-        raise EmptyPlaneList("plane overlap needs non-empty plane lists")
-    cand_centers = np.array([p.center for p in candidate])
-    cand_normals = np.array([p.normal for p in candidate])
+        raise EmptyPlaneList("plane overlap needs non-empty plane sets")
+    cand_centers, cand_normals = candidate.centers, candidate.normals
     tree = cKDTree(cand_centers)
 
-    centers = np.array([p.center for p in current]) @ transform.R.T + transform.t
-    normals = np.array([p.normal for p in current]) @ transform.R.T
+    centers = current.centers @ transform.R.T + transform.t
+    normals = current.normals @ transform.R.T
     _, nearest = tree.query(centers)
     n_res = _normal_residuals(normals, cand_normals[nearest])
     d_res = np.abs(np.einsum("ij,ij->i", cand_normals[nearest], centers - cand_centers[nearest]))
@@ -206,8 +205,8 @@ def plane_overlap(
 
 def score_candidates(
     candidates: list[Candidate],
-    current_planes: list[Plane],
-    plane_store: dict[int, list[Plane]],
+    current_planes: PlaneSet,
+    plane_store: dict[int, PlaneSet],
     sigma_n: float = 0.2,
     sigma_d: float = 0.3,
     iterations: int = 100,
@@ -263,8 +262,8 @@ def select_loop(scored: Sequence[Scored], sigma_pc: float, mode: str) -> Scored 
 
 
 def plane_icp(
-    current: list[Plane],
-    candidate: list[Plane],
+    current: PlaneSet,
+    candidate: PlaneSet,
     initial: RigidTransform,
     sigma_n: float = 0.2,
     sigma_d: float = 0.3,
@@ -279,11 +278,9 @@ def plane_icp(
     transform with higher cost than the initial one.
     """
     if not current or not candidate:
-        raise EmptyPlaneList("plane refinement needs non-empty plane lists")
-    cand_centers = np.array([p.center for p in candidate])
-    cand_normals = np.array([p.normal for p in candidate])
-    cur_centers = np.array([p.center for p in current])
-    cur_normals = np.array([p.normal for p in current])
+        raise EmptyPlaneList("plane refinement needs non-empty plane sets")
+    cand_centers, cand_normals = candidate.centers, candidate.normals
+    cur_centers, cur_normals = current.centers, current.normals
     tree = cKDTree(cand_centers)
 
     def associate(T: RigidTransform):

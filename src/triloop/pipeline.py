@@ -20,7 +20,7 @@ from .geometry import RigidTransform
 from .ingest import voxel_downsample
 from .keypoints import KeyPoint, keyframe_keypoints
 from .loop import MODES, ScoredCandidate, plane_icp, score_candidates, select_loop
-from .planes import Plane, build_voxel_map, classify_plane_voxels, grow_planes
+from .planes import PlaneSet, build_voxel_map, classify_plane_voxels, grow_planes
 
 
 @dataclass
@@ -65,6 +65,8 @@ class PipelineConfig:
             raise ConfigError(f"mode must be one of {', '.join(MODES)}; got {self.mode!r}")
         if self.max_keypoints < 0:
             raise ConfigError(f"max_keypoints must be >= 0; got {self.max_keypoints}")
+        if self.connectivity not in (6, 26):
+            raise ConfigError(f"connectivity must be 6 or 26; got {self.connectivity}")
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
@@ -116,7 +118,7 @@ class FrameExtraction:
     """Everything the matcher needs from one keyframe."""
 
     frame_id: int
-    planes: list[Plane]
+    planes: PlaneSet
     keypoints: list[KeyPoint]
     descriptors: DescriptorFrame
     n_plane_voxels: int = 0
@@ -180,7 +182,7 @@ class MatchingSession:
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
         self.db = DescriptorDatabase(delta_l=cfg.delta_l, delta_n=cfg.delta_n)
-        self.plane_store: dict[int, list[Plane]] = {}
+        self.plane_store: dict[int, PlaneSet] = {}
         self.rng = np.random.default_rng(cfg.seed)
 
     def add_frame(self, frame_id: int, cloud: np.ndarray) -> FrameExtraction:
@@ -216,8 +218,9 @@ class MatchingSession:
             # sliver planes (crease-contaminated voxels) carry unstable
             # normals; keep only grown regions for the refinement stage
             keep = cfg.refine_min_voxels
-            current = [p for p in extraction.planes if len(p.member_cells) >= keep]
-            matched = [p for p in self.plane_store[loop.frame_id] if len(p.member_cells) >= keep]
+            current = extraction.planes[np.diff(extraction.planes.member_offsets) >= keep]
+            stored = self.plane_store[loop.frame_id]
+            matched = stored[np.diff(stored.member_offsets) >= keep]
             try:
                 refined = plane_icp(
                     current,

@@ -7,12 +7,15 @@ the plane's boundary voxels and later seed key-point extraction.
 
 Voxels are held as columns (VoxelMap), one row per occupied cell in
 ascending (ix, iy, iz) order; cells are found by binary search on their
-packed int64 keys.
+packed int64 keys. A keyframe's planes are columns too (PlaneSet): centers,
+normals and point counts, plus each plane's member and boundary voxel rows
+in search order, stored flat with per-plane offsets. A plane's id is its row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -31,8 +34,6 @@ CUBE_NEIGHBORS = tuple(
     for dz in (-1, 0, 1)
     if (dx, dy, dz) != (0, 0, 0)
 )
-
-Cell = tuple[int, int, int]
 
 # Distinct entries of a symmetric 3x3 matrix.
 _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
@@ -133,11 +134,7 @@ class VoxelMap:
 
     def points_of(self, rows) -> np.ndarray:
         """Points of the given voxel rows, concatenated in row order."""
-        rows = np.asarray(rows, dtype=np.int64)
-        starts = self.offsets[rows]
-        lengths = self.offsets[rows + 1] - starts
-        shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        return self.points[np.arange(len(shift)) + shift]
+        return self.points[_segments(self.offsets, np.asarray(rows, dtype=np.int64))[0]]
 
     def _find(self, rel: np.ndarray) -> np.ndarray:
         keys = pack_offsets(rel, self._dims)
@@ -145,16 +142,59 @@ class VoxelMap:
         return np.where(self.keys[pos] == keys, pos, -1)
 
 
-@dataclass
-class Plane:
-    """Grown planar region: center point, normal, member and boundary cells."""
+@dataclass(frozen=True, eq=False)
+class PlaneSet:
+    """A keyframe's grown planes as columns; a plane's id is its row.
 
-    id: int
-    center: np.ndarray  # point-count weighted mean of member voxel means
-    normal: np.ndarray  # smallest eigenvector of the merged point moments
-    member_cells: list[Cell] = field(default_factory=list)
-    boundary_cells: list[Cell] = field(default_factory=list)
-    point_count: int = 0
+    Plane p's member voxel rows are
+    member_rows[member_offsets[p]:member_offsets[p + 1]], and likewise its
+    boundary rows, each in the order the search met them; rows index the
+    keyframe's VoxelMap and mean nothing apart from it. len() is the plane
+    count, and a boolean mask, an index array or a slice gives a PlaneSet of
+    those rows.
+    """
+
+    centers: np.ndarray           # (P, 3) point-count weighted mean of member voxel means
+    normals: np.ndarray           # (P, 3) smallest eigenvector of the merged point moments
+    point_counts: np.ndarray      # (P,) int64
+    member_rows: np.ndarray       # flat int64 voxel rows of every plane's members
+    member_offsets: np.ndarray    # (P + 1,) int64
+    boundary_rows: np.ndarray     # flat int64 voxel rows of every plane's boundary
+    boundary_offsets: np.ndarray  # (P + 1,) int64
+
+    def __len__(self) -> int:
+        return len(self.centers)
+
+    def __getitem__(self, keep) -> PlaneSet:
+        if isinstance(keep, (int, np.integer)):  # would also make a PlaneSet iterable
+            raise TypeError("index a PlaneSet with a mask, an index array or a slice")
+        rows = np.arange(len(self))[keep]
+        members, member_offsets = _segments(self.member_offsets, rows)
+        boundary, boundary_offsets = _segments(self.boundary_offsets, rows)
+        return PlaneSet(
+            centers=self.centers[rows],
+            normals=self.normals[rows],
+            point_counts=self.point_counts[rows],
+            member_rows=self.member_rows[members],
+            member_offsets=member_offsets,
+            boundary_rows=self.boundary_rows[boundary],
+            boundary_offsets=boundary_offsets,
+        )
+
+
+def _segments(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of segments rows of a CSR layout, concatenated in the
+    given order, and the offsets of the gathered layout."""
+    starts = offsets[rows]
+    lengths = offsets[rows + 1] - starts
+    gathered = _offsets(lengths)
+    shift = np.repeat(starts - gathered[:-1], lengths)
+    return np.arange(len(shift)) + shift, gathered
+
+
+def _offsets(lengths) -> np.ndarray:
+    """CSR offsets, (len(lengths) + 1,) int64, of segments of these lengths."""
+    return np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
 
 
 def canonical_normals(normals: np.ndarray) -> np.ndarray:
@@ -162,11 +202,6 @@ def canonical_normals(normals: np.ndarray) -> np.ndarray:
     largest-magnitude component is positive."""
     dominant = normals[np.arange(len(normals)), np.argmax(np.abs(normals), axis=1)]
     return np.where((dominant < 0)[:, None], -normals, normals)
-
-
-def canonical_normal(n: np.ndarray) -> np.ndarray:
-    """canonical_normals for one eigenvector."""
-    return canonical_normals(np.asarray(n, dtype=np.float64).reshape(1, 3))[0]
 
 
 def build_voxel_map(cloud, voxel_size: float) -> VoxelMap:
@@ -202,7 +237,7 @@ def grow_planes(
     normal_merge_tol: float = 0.02,
     dist_merge_tol: float = 0.2,
     connectivity: int = 6,
-) -> list[Plane]:
+) -> PlaneSet:
     """Partition plane voxels into planes by breadth-first region growing.
 
     A neighbor joins when its normal and the seed normal agree within
@@ -259,13 +294,13 @@ def _merges(seed_normal, seed_mean, normal, mean, normal_tol: float, dist_tol: f
     return abs(float(seed_normal @ (mean - seed_mean))) < dist_tol
 
 
-def _fit_planes(voxmap: VoxelMap, regions: list[tuple[list[int], list[int]]]) -> list[Plane]:
+def _fit_planes(voxmap: VoxelMap, regions: list[tuple[list[int], list[int]]]) -> PlaneSet:
     """Fit one plane to each region's merged voxel moments."""
-    if not regions:
-        return []
-    rows = np.concatenate([members for members, _ in regions])
-    region = np.repeat(np.arange(len(regions)), [len(members) for members, _ in regions])
     n = len(regions)
+    member_counts = [len(members) for members, _ in regions]
+    rows = np.fromiter(chain.from_iterable(members for members, _ in regions), dtype=np.int64)
+    boundary = np.fromiter(chain.from_iterable(b for _, b in regions), dtype=np.int64)
+    region = np.repeat(np.arange(n), member_counts)
     counts = voxmap.counts[rows]
     # moments around the seed mean (conditioning); np.bincount sums each
     # region from zero in member order, as a running += would
@@ -283,16 +318,12 @@ def _fit_planes(voxmap: VoxelMap, regions: list[tuple[list[int], list[int]]]) ->
     mean = weighted / totals[:, None]
     merged_cov = second / totals[:, None, None] - mean[:, :, None] * mean[:, None, :]
     _, vecs = np.linalg.eigh(merged_cov)
-    normals = canonical_normals(vecs[:, :, 0])
-    centers = origin + mean
-    return [
-        Plane(
-            id=i,
-            center=centers[i],
-            normal=normals[i],
-            member_cells=list(map(tuple, voxmap.cells[members].tolist())),
-            boundary_cells=list(map(tuple, voxmap.cells[boundary].tolist())),
-            point_count=int(totals[i]),
-        )
-        for i, (members, boundary) in enumerate(regions)
-    ]
+    return PlaneSet(
+        centers=origin + mean,
+        normals=canonical_normals(vecs[:, :, 0]),
+        point_counts=totals,
+        member_rows=rows,
+        member_offsets=_offsets(member_counts),
+        boundary_rows=boundary,
+        boundary_offsets=_offsets([len(b) for _, b in regions]),
+    )

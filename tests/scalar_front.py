@@ -3,16 +3,18 @@
 These are the loop-based implementations the array code in
 ``triloop.ingest``, ``triloop.planes`` and ``triloop.keypoints`` replaced.
 Tests run both on the same inputs and require bit-identical results. A voxel
-map here is a ``dict`` from cell tuple to ``ScalarVoxel``.
+map here is a ``dict`` from cell tuple to ``ScalarVoxel``, a plane one
+``ScalarPlane`` with lists of cell tuples, and a plane image one
+``ScalarImage``; the references build none of the types they check.
 """
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from triloop.keypoints import NMS_RADIUS, KeyPoint, PlaneImage
-from triloop.planes import CUBE_NEIGHBORS, FACE_NEIGHBORS, MIN_VOXEL_POINTS, Plane
+from triloop.keypoints import NMS_RADIUS
+from triloop.planes import CUBE_NEIGHBORS, FACE_NEIGHBORS, MIN_VOXEL_POINTS
 
 
 @dataclass
@@ -28,6 +30,35 @@ class ScalarVoxel:
     @property
     def count(self) -> int:
         return len(self.points)
+
+
+@dataclass
+class ScalarPlane:
+    id: int
+    center: np.ndarray
+    normal: np.ndarray
+    member_cells: list = field(default_factory=list)
+    boundary_cells: list = field(default_factory=list)
+    point_count: int = 0
+
+
+@dataclass
+class ScalarImage:
+    plane_id: int
+    normal: np.ndarray
+    offset: tuple        # pixel index of values[0, 0]
+    values: np.ndarray   # (h, w) max distance, -inf where empty
+    sources: np.ndarray  # (h, w) index into points, -1 where empty
+    points: np.ndarray
+
+
+@dataclass
+class ScalarKeyPoint:
+    position: np.ndarray
+    normal: np.ndarray
+    plane_id: int
+    frame_id: int
+    strength: float
 
 
 def canonical_normal(n):
@@ -107,7 +138,7 @@ def scalar_grow_planes(voxmap, normal_merge_tol=0.02, dist_merge_tol=0.2, connec
         seed = voxmap[cell]
         if not seed.is_plane or cell in assigned:
             continue
-        plane = Plane(id=len(planes), center=np.zeros(3), normal=seed.normal.copy())
+        plane = ScalarPlane(id=len(planes), center=np.zeros(3), normal=seed.normal.copy())
         boundary, boundary_seen = [], set()
         origin = seed.mean
         weighted = np.zeros(3)
@@ -168,7 +199,6 @@ def scalar_project_boundary(plane, voxmap):
 
 
 def scalar_rasterize(points, distances, uv, pixel_size, plane):
-    e1, e2 = scalar_plane_axes(plane.normal)
     pix = np.floor(uv / pixel_size).astype(np.int64)
     lo = pix.min(axis=0)
     hi = pix.max(axis=0)
@@ -182,10 +212,9 @@ def scalar_rasterize(points, distances, uv, pixel_size, plane):
         if distances[i] > values[r, c]:
             values[r, c] = distances[i]
             sources[r, c] = i
-    return PlaneImage(
-        plane_id=plane.id, origin=plane.center, e1=e1, e2=e2, normal=plane.normal,
-        pixel_size=pixel_size, offset=(int(lo[0]), int(lo[1])), values=values,
-        sources=sources, points=points,
+    return ScalarImage(
+        plane_id=plane.id, normal=plane.normal, offset=(int(lo[0]), int(lo[1])),
+        values=values, sources=sources, points=points,
     )
 
 
@@ -209,7 +238,7 @@ def scalar_extract_keypoints(img, min_dist, frame_id=0):
                 if nv > v or (nv == v and rr * w + cc < lin):
                     wins = False
         if wins:
-            keypoints.append(KeyPoint(
+            keypoints.append(ScalarKeyPoint(
                 position=img.points[img.sources[r, c]].copy(), normal=img.normal.copy(),
                 plane_id=img.plane_id, frame_id=frame_id, strength=float(v),
             ))

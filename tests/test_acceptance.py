@@ -22,8 +22,8 @@ from triloop.geometry import (
 )
 from triloop.loop import plane_icp, plane_overlap, score_candidates, select_loop
 from triloop.pipeline import MatchingSession, PipelineConfig, extract_frame
-from triloop.planes import Plane
 
+from plane_sets import plane_set
 from scalar_descriptors import make_key, signature
 from test_database import brute_force_votes, synth_descriptor, synth_frame, transformed
 from worlds import build_keyframes, decoy_world, loop_trajectory, main_world
@@ -135,14 +135,10 @@ def test_criterion_4_planted_loop_world():
     assert trans0 <= 0.1
     assert rot0 <= 0.5
 
-    current = [
-        p for p in extractions[query.id].planes
-        if len(p.member_cells) >= cfg.refine_min_voxels
-    ]
-    matched = [
-        p for p in plane_store[loop.frame_id]
-        if len(p.member_cells) >= cfg.refine_min_voxels
-    ]
+    current, matched = (
+        planes[np.diff(planes.member_offsets) >= cfg.refine_min_voxels]
+        for planes in (extractions[query.id].planes, plane_store[loop.frame_id])
+    )
     refined = plane_icp(
         current, matched, loop.transform,
         sigma_n=cfg.refine_sigma_n, sigma_d=cfg.refine_sigma_d,
@@ -255,16 +251,9 @@ def test_criterion_7_verification_speed():
     centers = rng.uniform(-50, 50, size=(n, 3))
     normals = rng.normal(size=(n, 3))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    current = [
-        Plane(id=i, center=centers[i], normal=normals[i], member_cells=[], boundary_cells=[])
-        for i in range(n)
-    ]
+    current = plane_set(centers, normals)
     truth = RigidTransform(random_rotation(rng), rng.uniform(-5, 5, 3))
-    candidate = [
-        Plane(id=p.id, center=truth.apply(p.center), normal=truth.R @ p.normal,
-              member_cells=[], boundary_cells=[])
-        for p in current
-    ]
+    candidate = plane_set([truth.apply(c) for c in centers], [truth.R @ u for u in normals])
     nudge = RigidTransform(
         rotation_about_axis(rng.normal(size=3), math.radians(0.5)),
         rng.normal(size=3) * 0.05,

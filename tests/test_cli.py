@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from triloop.cli import main
+from triloop.cli import EXIT_CONFIG, main
 from triloop.evaluation import read_records_csv
 from triloop.loop import select_loop
 from triloop.pipeline import PipelineConfig
@@ -91,6 +92,20 @@ class TestRun:
         assert code == 0
         for name in ("records.csv", "pr.csv", "gt.csv"):
             assert (out_dir / name).read_bytes() == (rerun / name).read_bytes()
+
+    def test_outputs_match_pinned_digests(self, loop_run):
+        # The byte-stable outputs of the loop run, pinned: a change to
+        # planes, key points, descriptors, retrieval, RANSAC, plane overlap
+        # or the plane-ICP pose (rot_err_deg, trans_err_m) shows here.
+        # summary.json and timings.csv carry wall times and are left out.
+        _, _, _, _, out_dir = loop_run
+        pinned = {
+            "records.csv": "e08da2424567c20791553762525d9165b37fea6776b436b0a43f6e8a43e9d301",
+            "gt.csv": "b255c51dd0335551e991bfaf5212f9c9c110c4bbd67672c64f425b11a8104f7a",
+            "pr.csv": "719668d59a829be3700360ac074c578c93778a044d1424ce42ed367406af5d40",
+        }
+        for name, digest in pinned.items():
+            assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == digest, name
 
     def test_downsample_leaf_flag_overrides_config(self, tmp_path, world):
         poses = [yaw_pose(6.0 + 1.5 * i, 9.0, 1.5, 0.0) for i in range(5)]
@@ -217,6 +232,19 @@ class TestExitCodes:
              "--poses", str(pose_file), "--out", str(tmp_path / "out")]
         )
         assert code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_connectivity_is_config_error(self, tmp_path, world):
+        cfg_path = tmp_path / "run.cfg"
+        write_config(cfg_path)
+        cfg_path.write_text(cfg_path.read_text() + "connectivity = 18\n")
+        poses = [yaw_pose(6.0 + i, 9.0, 1.5, 0.0) for i in range(3)]
+        scan_dir, pose_file = write_sequence(tmp_path, world, poses)
+        code = main(
+            ["run", "--config", str(cfg_path), "--scans", str(scan_dir),
+             "--poses", str(pose_file), "--out", str(tmp_path / "out")]
+        )
+        assert code == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
 
     def test_pose_count_mismatch_is_config_error(self, tmp_path, world):

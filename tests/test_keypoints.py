@@ -1,30 +1,25 @@
 import numpy as np
 import pytest
 
-from triloop.errors import NoBoundary
 from triloop.geometry import RigidTransform, random_rotation
 from triloop.keypoints import (
-    PlaneImage,
-    extract_keypoints,
+    _boundary_points,
+    _nms,
+    _plane_axes,
+    _project,
+    _raster,
     keyframe_keypoints,
-    plane_axes,
-    project_boundary,
-    rasterize,
 )
-from triloop.planes import Plane, VoxelMap
+from triloop.planes import VoxelMap
+
+from plane_sets import one_image, plane_set
 
 
 def make_plane_scene(center, normal, boundary_points):
-    """Plane with a single boundary voxel holding the given points."""
+    """One-plane set whose only boundary voxel holds the given points."""
     normal = np.asarray(normal, dtype=np.float64)
-    plane = Plane(
-        id=0,
-        center=np.asarray(center, dtype=np.float64),
-        normal=normal / np.linalg.norm(normal),
-        member_cells=[(0, 0, 0)],
-        boundary_cells=[(9, 9, 9)],
-    )
-    return plane, one_voxel_map((9, 9, 9), boundary_points)
+    planes = plane_set([center], [normal / np.linalg.norm(normal)], boundaries=[[0]])
+    return planes, one_voxel_map((9, 9, 9), boundary_points)
 
 
 def one_voxel_map(cell, points):
@@ -33,16 +28,47 @@ def one_voxel_map(cell, points):
     return VoxelMap.from_points(pts, np.tile(np.array(cell, dtype=np.int64), (len(pts), 1)))
 
 
+def project(planes, voxmap):
+    """The boundary points of a one-plane set, their distances to the plane
+    and their in-plane coordinates, as keyframe_keypoints projects them."""
+    points, bounds = _boundary_points(planes, voxmap)
+    e1, e2 = _plane_axes(planes.normals)
+    distances, uv = _project(points, bounds, planes.centers, planes.normals, e1, e2)
+    return points, distances, uv
+
+
+def image_of(planes, voxmap, pixel_size):
+    """The one plane's image as keyframe_keypoints rasterizes it: the pixel
+    index of its [0, 0], and per pixel the max distance (-inf where empty)
+    and the index of the point holding it (-1 where empty)."""
+    _, distances, uv = project(planes, voxmap)
+    mosaic, _, values, sources = _raster(distances, uv, np.array([0, len(uv)]), pixel_size)
+    return mosaic.lo[0], one_image(mosaic, values), one_image(mosaic, sources)
+
+
+def kernel_positions(planes, voxmap, e1, e2, pixel_size=0.5, min_dist=0.2):
+    """Key point positions of a plane set projected onto the given in-plane
+    axes (P, 3), (P, 3), through the projection, raster and NMS kernels that
+    keyframe_keypoints runs; in flat pixel order."""
+    points, bounds = _boundary_points(planes, voxmap)
+    distances, uv = _project(points, bounds, planes.centers, planes.normals, e1, e2)
+    mosaic, image, values, sources = _raster(distances, uv, bounds, pixel_size)
+    pixels = np.flatnonzero((sources >= 0) & (values >= min_dist))
+    candidates = sources[pixels]
+    return points[candidates[_nms(values, pixels, mosaic.stride[image[candidates]])]]
+
+
 class TestProjection:
     def test_on_plane_point_has_zero_distance(self):
-        plane, voxmap = make_plane_scene([0, 0, 0], [0, 0, 1], [[0.7, -0.3, 0.0]])
-        _, dists, _ = project_boundary(plane, voxmap)
-        assert abs(dists[0]) < 1e-12
+        planes, voxmap = make_plane_scene([0, 0, 0], [0, 0, 1], [[0.7, -0.3, 0.0]])
+        [kp] = keyframe_keypoints(planes, voxmap, min_dist=0.0)
+        assert abs(kp.strength) < 1e-12
 
     def test_pure_normal_offset(self):
-        plane, voxmap = make_plane_scene([1, 2, 3], [0, 0, 1], [[1.0, 2.0, 3.5]])
-        _, dists, uv = project_boundary(plane, voxmap)
-        assert abs(dists[0] - 0.5) < 1e-12
+        planes, voxmap = make_plane_scene([1, 2, 3], [0, 0, 1], [[1.0, 2.0, 3.5]])
+        [kp] = keyframe_keypoints(planes, voxmap, min_dist=0.0)
+        assert abs(kp.strength - 0.5) < 1e-12
+        _, _, uv = project(planes, voxmap)
         assert np.allclose(uv[0], [0.0, 0.0], atol=1e-12)
 
     def test_distances_match_point_to_plane_formula(self):
@@ -51,81 +77,91 @@ class TestProjection:
         normal /= np.linalg.norm(normal)
         center = rng.uniform(-5, 5, 3)
         pts = rng.uniform(-10, 10, size=(100, 3))
-        plane, voxmap = make_plane_scene(center, normal, pts)
-        _, dists, uv = project_boundary(plane, voxmap)
+        planes, voxmap = make_plane_scene(center, normal, pts)
+        _, dists, uv = project(planes, voxmap)
         for i, p in enumerate(pts):
             # independent formula: |n . (p - g)| with the plane in
             # point-normal form
             assert abs(dists[i] - abs(np.dot(normal, p - center))) < 1e-9
-        e1, e2 = plane_axes(plane.normal)
+        e1, e2 = (axis[0] for axis in _plane_axes(planes.normals))
         recon = center + uv[:, :1] * e1 + uv[:, 1:] * e2 + (
-            np.sign((pts - center) @ plane.normal) * dists
-        )[:, None] * plane.normal
+            np.sign((pts - center) @ planes.normals[0]) * dists
+        )[:, None] * planes.normals[0]
         assert np.max(np.abs(recon - pts)) < 1e-9
+        kps = keyframe_keypoints(planes, voxmap, min_dist=0.0)
+        assert kps
+        for kp in kps:
+            assert abs(kp.strength - abs(np.dot(normal, kp.position - center))) < 1e-9
 
-    def test_no_boundary_raises(self):
-        plane, voxmap = make_plane_scene([0, 0, 0], [0, 0, 1], [[0, 0, 0.1]])
-        plane.boundary_cells = []
-        with pytest.raises(NoBoundary):
-            project_boundary(plane, voxmap)
+    def test_no_boundary_yields_no_keypoints(self):
+        planes, voxmap = make_plane_scene([0, 0, 0], [0, 0, 1], [[0, 0, 0.1]])
+        no_boundary = plane_set(planes.centers, planes.normals, boundaries=[[]])
+        assert keyframe_keypoints(no_boundary, voxmap, min_dist=0.0) == []
 
 
 class TestRasterize:
     def test_max_wins_pixel(self):
-        plane, voxmap = make_plane_scene(
-            [0, 0, 0], [0, 0, 1], [[0.1, 0.1, 0.1], [0.2, 0.2, 0.3]]
-        )
-        pts, dists, uv = project_boundary(plane, voxmap)
-        img = rasterize(pts, dists, uv, 0.5, plane)
-        assert img.values.shape == (1, 1)
-        assert abs(img.values[0, 0] - 0.3) < 1e-12
-        assert img.sources[0, 0] == 1
+        pts = [[0.1, 0.1, 0.1], [0.2, 0.2, 0.3]]
+        planes, voxmap = make_plane_scene([0, 0, 0], [0, 0, 1], pts)
+        _, values, sources = image_of(planes, voxmap, 0.5)
+        assert values.shape == (1, 1)
+        assert abs(values[0, 0] - 0.3) < 1e-12
+        assert sources[0, 0] == 1
+        [kp] = keyframe_keypoints(planes, voxmap, min_dist=0.0)
+        assert np.array_equal(kp.position, pts[1])
 
     def test_single_point_grid(self):
-        plane, voxmap = make_plane_scene([0, 0, 0], [0, 0, 1], [[2.0, 3.0, 0.4]])
-        pts, dists, uv = project_boundary(plane, voxmap)
-        img = rasterize(pts, dists, uv, 0.5, plane)
-        assert img.values.shape == (1, 1)
+        planes, voxmap = make_plane_scene([0, 0, 0], [0, 0, 1], [[2.0, 3.0, 0.4]])
+        _, values, _ = image_of(planes, voxmap, 0.5)
+        assert values.shape == (1, 1)
+        assert len(keyframe_keypoints(planes, voxmap, min_dist=0.0)) == 1
 
     def test_matches_group_by_pixel_max_oracle(self):
         rng = np.random.default_rng(1)
-        plane, voxmap = make_plane_scene(
+        planes, voxmap = make_plane_scene(
             [0, 0, 0], [0, 0, 1], rng.uniform(-4, 4, size=(500, 3))
         )
-        pts, dists, uv = project_boundary(plane, voxmap)
+        pts, dists, uv = project(planes, voxmap)
         pixel = 0.5
-        img = rasterize(pts, dists, uv, pixel, plane)
+        offset, values, _ = image_of(planes, voxmap, pixel)
         # brute-force oracle: group projections by pixel, take the max
         groups = {}
         for i in range(len(pts)):
             key = (int(np.floor(uv[i, 0] / pixel)), int(np.floor(uv[i, 1] / pixel)))
             groups.setdefault(key, []).append(dists[i])
-        for (gu, gv), values in groups.items():
-            r, c = gu - img.offset[0], gv - img.offset[1]
-            assert abs(img.values[r, c] - max(values)) < 1e-12
-        assert np.count_nonzero(np.isfinite(img.values)) == len(groups)
+        for (gu, gv), group in groups.items():
+            r, c = gu - offset[0], gv - offset[1]
+            assert abs(values[r, c] - max(group)) < 1e-12
+        assert np.count_nonzero(np.isfinite(values)) == len(groups)
+        # every key point holds its pixel's maximum
+        for kp in keyframe_keypoints(planes, voxmap, pixel_size=pixel, min_dist=0.0):
+            key = tuple(int(k) for k in np.floor(kp.position[:2] / pixel))
+            assert kp.strength == max(groups[key])
 
 
-def image_from_grid(values):
-    """PlaneImage wrapper around a dense value grid (nan marks empty pixels)."""
+GRID_PIXEL = 0.5
+
+
+def grid_scene(values):
+    """One-plane set through the origin with normal +z whose image is the
+    given grid (nan marks empty pixels): pixel (r, c) holds one boundary
+    point at its center, values[r, c] above the plane."""
     values = np.asarray(values, dtype=np.float64)
-    filled = np.where(np.isnan(values), -np.inf, values)
-    h, w = filled.shape
-    points = np.zeros((h * w, 3))
-    sources = np.arange(h * w).reshape(h, w)
-    points[:, 0] = np.arange(h * w)
-    return PlaneImage(
-        plane_id=0,
-        origin=np.zeros(3),
-        e1=np.array([1.0, 0, 0]),
-        e2=np.array([0, 1.0, 0]),
-        normal=np.array([0, 0, 1.0]),
-        pixel_size=0.5,
-        offset=(0, 0),
-        values=filled,
-        sources=np.where(np.isnan(values), -1, sources),
-        points=points,
-    )
+    rows, cols = np.nonzero(~np.isnan(values))
+    points = np.column_stack([(rows + 0.5) * GRID_PIXEL, (cols + 0.5) * GRID_PIXEL,
+                              values[rows, cols]])
+    return make_plane_scene([0, 0, 0], [0, 0, 1], points)
+
+
+def grid_keypoints(values, min_dist):
+    planes, voxmap = grid_scene(values)
+    return keyframe_keypoints(planes, voxmap, pixel_size=GRID_PIXEL, min_dist=min_dist,
+                              max_keypoints=10**6)
+
+
+def grid_pixel(kp) -> tuple[int, int]:
+    """(row, column) of the grid_scene pixel a key point came from."""
+    return int(kp.position[0] // GRID_PIXEL), int(kp.position[1] // GRID_PIXEL)
 
 
 def brute_force_nms(values, min_dist):
@@ -153,45 +189,38 @@ def brute_force_nms(values, min_dist):
 
 class TestExtractKeypoints:
     def test_single_occupied_pixel(self):
-        img = image_from_grid([[0.5]])
-        kps = extract_keypoints(img, min_dist=0.2)
+        kps = grid_keypoints([[0.5]], min_dist=0.2)
         assert len(kps) == 1
         assert kps[0].strength == 0.5
 
     def test_adjacent_pixel_suppressed(self):
-        img = image_from_grid([[0.5, 0.4]])
-        kps = extract_keypoints(img, min_dist=0.2)
+        kps = grid_keypoints([[0.5, 0.4]], min_dist=0.2)
         assert len(kps) == 1
         assert kps[0].strength == 0.5
 
     def test_below_threshold_dropped(self):
-        img = image_from_grid([[0.1]])
-        assert extract_keypoints(img, min_dist=0.2) == []
+        assert grid_keypoints([[0.1]], min_dist=0.2) == []
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(2)
         values = rng.uniform(0, 1, size=(50, 50))
         values[rng.uniform(size=(50, 50)) < 0.6] = np.nan  # sparse occupancy
-        img = image_from_grid(values)
-        got = extract_keypoints(img, min_dist=0.2)
+        got = grid_keypoints(values, min_dist=0.2)
         grid = np.where(np.isnan(values), -np.inf, values)
         expected = brute_force_nms(grid, 0.2)
-        got_pixels = sorted(int(k.position[0]) for k in got)  # position encodes r*w+c
-        expected_pixels = sorted(r * 50 + c for r, c in expected)
-        assert got_pixels == expected_pixels
+        got_pixels = sorted(grid_pixel(k) for k in got)
+        assert got_pixels == sorted(expected)
 
     def test_ties_break_to_lower_index(self):
-        img = image_from_grid([[0.5, np.nan, 0.5]])
-        kps = extract_keypoints(img, min_dist=0.2)
+        kps = grid_keypoints([[0.5, np.nan, 0.5]], min_dist=0.2)
         assert len(kps) == 1
-        assert int(kps[0].position[0]) == 0
+        assert grid_pixel(kps[0]) == (0, 0)
 
     def test_keypoints_at_least_three_pixels_apart(self):
         rng = np.random.default_rng(3)
         values = rng.uniform(0, 1, size=(40, 40))
-        img = image_from_grid(values)
-        kps = extract_keypoints(img, min_dist=0.0)
-        pix = [divmod(int(k.position[0]), 40) for k in kps]
+        kps = grid_keypoints(values, min_dist=0.0)
+        pix = [grid_pixel(k) for k in kps]
         for i in range(len(pix)):
             for j in range(i + 1, len(pix)):
                 cheb = max(abs(pix[i][0] - pix[j][0]), abs(pix[i][1] - pix[j][1]))
@@ -206,10 +235,8 @@ class TestEndToEnd:
 
     def test_positions_come_from_input_cloud(self):
         rng = np.random.default_rng(4)
-        plane, voxmap = self.scene(rng)
-        pts, dists, uv = project_boundary(plane, voxmap)
-        img = rasterize(pts, dists, uv, 0.5, plane)
-        kps = extract_keypoints(img, 0.05)
+        planes, voxmap = self.scene(rng)
+        kps = keyframe_keypoints(planes, voxmap, min_dist=0.05)
         assert kps
         cloud = {tuple(p) for p in voxmap.points_of(voxmap.lookup([(9, 9, 9)]))}
         for kp in kps:
@@ -217,46 +244,67 @@ class TestEndToEnd:
 
     def test_rigid_motion_covariance_with_fixed_segmentation(self):
         rng = np.random.default_rng(5)
-        plane, voxmap = self.scene(rng)
-        pts, dists, uv = project_boundary(plane, voxmap)
-        axes = plane_axes(plane.normal)
-        img = rasterize(pts, dists, uv, 0.5, plane, axes=axes)
-        kps = extract_keypoints(img, 0.05)
+        planes, voxmap = self.scene(rng)
+        e1, e2 = _plane_axes(planes.normals)
+        original = kernel_positions(planes, voxmap, e1, e2, min_dist=0.05)
+        assert len(original)
 
         t = RigidTransform(random_rotation(rng), rng.uniform(-5, 5, 3))
-        moved_plane = Plane(
-            id=0,
-            center=t.apply(plane.center),
-            normal=t.R @ plane.normal,
-            member_cells=plane.member_cells,
-            boundary_cells=plane.boundary_cells,
-        )
-        moved_pts = t.apply(voxmap.points_of(voxmap.lookup([(9, 9, 9)])))
-        moved_voxmap = one_voxel_map((9, 9, 9), moved_pts)
-        moved_axes = (t.R @ axes[0], t.R @ axes[1])
-        mpts, mdists, muv = project_boundary(moved_plane, moved_voxmap, axes=moved_axes)
-        mimg = rasterize(mpts, mdists, muv, 0.5, moved_plane, axes=moved_axes)
-        mkps = extract_keypoints(mimg, 0.05)
+        moved_planes = plane_set([t.apply(planes.centers[0])], [t.R @ planes.normals[0]],
+                                 boundaries=[[0]])
+        points = voxmap.points_of(voxmap.lookup([(9, 9, 9)]))
+        moved_voxmap = one_voxel_map((9, 9, 9), t.apply(points))
+        # the moved plane projected onto the moved axes, not the ones
+        # _plane_axes would derive for its normal
+        moved = kernel_positions(moved_planes, moved_voxmap, e1 @ t.R.T, e2 @ t.R.T,
+                                 min_dist=0.05)
 
-        assert len(kps) == len(mkps)
-        original = np.array([k.position for k in kps])
-        moved = np.array([k.position for k in mkps])
+        assert len(original) == len(moved)
         assert np.max(np.abs(moved - t.apply(original))) < 1e-9
+
+    def test_rigid_motion_covariance_through_keyframe_keypoints(self):
+        rng = np.random.default_rng(5)
+        planes, voxmap = self.scene(rng)
+        kps = keyframe_keypoints(planes, voxmap, min_dist=0.05)
+        assert kps
+        points = voxmap.points_of(voxmap.lookup([(9, 9, 9)]))
+        # Rotations that carry the plane axes of normal +z onto the axes
+        # keyframe_keypoints derives for the moved normal (+x, then +y), so
+        # the moved plane is rasterized on the moved pixel grid.
+        rotations = (
+            np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+            np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]]),
+        )
+        for R in rotations:
+            t = RigidTransform(R, rng.uniform(-5, 5, 3))
+            moved_planes = plane_set([t.apply(planes.centers[0])], [t.R @ planes.normals[0]],
+                                     boundaries=[[0]])
+            e1, e2 = _plane_axes(planes.normals)
+            moved_e1, moved_e2 = _plane_axes(moved_planes.normals)
+            assert np.array_equal(moved_e1[0], R @ e1[0])
+            assert np.array_equal(moved_e2[0], R @ e2[0])
+            moved_voxmap = one_voxel_map((9, 9, 9), t.apply(points))
+            mkps = keyframe_keypoints(moved_planes, moved_voxmap, min_dist=0.05)
+
+            assert len(kps) == len(mkps)
+            original = np.array([k.position for k in kps])
+            moved = np.array([k.position for k in mkps])
+            assert np.max(np.abs(moved - t.apply(original))) < 1e-9
 
 
 def test_keyframe_keypoints_caps_count():
     rng = np.random.default_rng(6)
     pts = rng.uniform(-30, 30, size=(4000, 3))
     pts[:, 2] = np.abs(pts[:, 2]) * 0.05 + 0.2
-    plane, voxmap = make_plane_scene([0, 0, 0], [0, 0, 1], pts)
-    kps = keyframe_keypoints([plane], voxmap, pixel_size=0.5, min_dist=0.0, max_keypoints=50)
+    planes, voxmap = make_plane_scene([0, 0, 0], [0, 0, 1], pts)
+    kps = keyframe_keypoints(planes, voxmap, pixel_size=0.5, min_dist=0.0, max_keypoints=50)
     assert len(kps) == 50
     strengths = [k.strength for k in kps]
     assert strengths == sorted(strengths, reverse=True)
 
 
 def test_keyframe_keypoints_rejects_negative_cap():
-    plane, voxmap = make_plane_scene([0, 0, 0], [0, 0, 1], [[0.1, 0.1, 0.5]])
-    assert len(keyframe_keypoints([plane], voxmap, max_keypoints=0)) == 0
+    planes, voxmap = make_plane_scene([0, 0, 0], [0, 0, 1], [[0.1, 0.1, 0.5]])
+    assert len(keyframe_keypoints(planes, voxmap, max_keypoints=0)) == 0
     with pytest.raises(ValueError, match="max_keypoints"):
-        keyframe_keypoints([plane], voxmap, max_keypoints=-5)
+        keyframe_keypoints(planes, voxmap, max_keypoints=-5)

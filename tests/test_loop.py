@@ -26,8 +26,8 @@ from triloop.loop import (
     select_loop,
 )
 from triloop.pipeline import FrameExtraction, MatchingSession, PipelineConfig
-from triloop.planes import Plane
 
+from plane_sets import plane_set
 from scalar_descriptors import stack_frame, stack_pairs
 from test_database import synth_descriptor, transformed
 from test_geometry import scalar_kabsch
@@ -60,18 +60,11 @@ def random_planes(rng, n, extent=30.0, frame_id=0):
     centers = rng.uniform(-extent / 2, extent / 2, size=(n, 3))
     normals = rng.normal(size=(n, 3))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    return [
-        Plane(id=i, center=centers[i], normal=normals[i], member_cells=[], boundary_cells=[])
-        for i in range(n)
-    ]
+    return plane_set(centers, normals)
 
 
 def transform_planes(planes, t: RigidTransform):
-    return [
-        Plane(id=p.id, center=t.apply(p.center), normal=t.R @ p.normal,
-              member_cells=[], boundary_cells=[])
-        for p in planes
-    ]
+    return plane_set([t.apply(c) for c in planes.centers], [t.R @ n for n in planes.normals])
 
 
 class TestRansac:
@@ -318,11 +311,8 @@ class TestPlaneOverlap:
     def test_distant_planes_zero_overlap(self):
         rng = np.random.default_rng(5)
         current = random_planes(rng, 20, extent=10.0)
-        far = [
-            Plane(id=p.id, center=p.center + np.array([100.0, 0, 0]), normal=p.normal,
-                  member_cells=[], boundary_cells=[])
-            for p in random_planes(rng, 20, extent=10.0)
-        ]
+        near = random_planes(rng, 20, extent=10.0)
+        far = plane_set(near.centers + np.array([100.0, 0, 0]), near.normals)
         assert plane_overlap(current, far, RigidTransform.identity(), sigma_d=0.3) == 0.0
 
     def test_planted_transform_with_deleted_candidates(self):
@@ -345,18 +335,14 @@ class TestPlaneOverlap:
         rng = np.random.default_rng(8)
         planes = random_planes(rng, 5)
         with pytest.raises(EmptyPlaneList):
-            plane_overlap([], planes, RigidTransform.identity())
+            plane_overlap(planes[:0], planes, RigidTransform.identity())
         with pytest.raises(EmptyPlaneList):
-            plane_overlap(planes, [], RigidTransform.identity())
+            plane_overlap(planes, planes[:0], RigidTransform.identity())
 
     def test_normal_sign_flips_do_not_break_coincidence(self):
         rng = np.random.default_rng(9)
         current = random_planes(rng, 30)
-        flipped = [
-            Plane(id=p.id, center=p.center.copy(), normal=-p.normal,
-                  member_cells=[], boundary_cells=[])
-            for p in current
-        ]
+        flipped = plane_set(current.centers, -current.normals)
         assert plane_overlap(current, flipped, RigidTransform.identity()) == 1.0
 
 
@@ -524,12 +510,11 @@ class TestPlaneIcp:
         def cost(t):
             # independent residual evaluation with nearest-center association
             total = 0.0
-            cand_centers = np.array([p.center for p in candidate])
-            cand_normals = np.array([p.normal for p in candidate])
-            for p in current:
-                g = t.apply(p.center)
+            cand_centers, cand_normals = candidate.centers, candidate.normals
+            for center, normal in zip(current.centers, current.normals):
+                g = t.apply(center)
                 j = int(np.argmin(np.linalg.norm(cand_centers - g, axis=1)))
-                u = t.R @ p.normal
+                u = t.R @ normal
                 n_res = min(
                     np.linalg.norm(u - cand_normals[j]), np.linalg.norm(u + cand_normals[j])
                 )

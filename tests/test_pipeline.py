@@ -78,6 +78,16 @@ class TestConfig:
             PipelineConfig.from_file(path)
         assert PipelineConfig(max_keypoints=0).max_keypoints == 0
 
+    def test_bad_connectivity_rejected(self, tmp_path):
+        for connectivity in (18, 0, -6):
+            with pytest.raises(ConfigError, match="connectivity"):
+                PipelineConfig(connectivity=connectivity)
+        path = tmp_path / "run.cfg"
+        path.write_text("connectivity = 18\n")
+        with pytest.raises(ConfigError, match="connectivity"):
+            PipelineConfig.from_file(path)
+        assert PipelineConfig(connectivity=26).connectivity == 26
+
     def test_missing_equals_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("sigma_pc 0.5\n")

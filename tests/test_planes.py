@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 from triloop.errors import CellOutOfRange, EmptyInput, TriloopError
+from triloop.keypoints import keyframe_keypoints
 from triloop.planes import (
-    Plane,
     VoxelMap,
     build_voxel_map,
-    canonical_normal,
+    canonical_normals,
     classify_plane_voxels,
     grow_planes,
     is_plane_voxel,
 )
+
+from plane_sets import segment_cells
 
 SIGMA1 = 0.01
 SIGMA2 = 0.05
@@ -147,25 +149,32 @@ class TestGrowPlanes:
         assert len(planes) == 2
 
     def test_flat_floor_single_plane_no_boundary(self):
-        planes = grow_planes(extract(floor_patch((0, 10), (0, 10))))
+        voxmap = extract(floor_patch((0, 10), (0, 10)))
+        planes = grow_planes(voxmap)
         assert len(planes) == 1
-        assert len(planes[0].member_cells) == 100
-        assert planes[0].boundary_cells == []
+        [members] = segment_cells(voxmap, planes.member_rows, planes.member_offsets)
+        [boundary] = segment_cells(voxmap, planes.boundary_rows, planes.boundary_offsets)
+        assert len(members) == 100
+        assert boundary == []
 
     def test_l_scene_two_planes_with_shared_crease_boundary(self):
         wall_a = wall_xz((0, 10), (0, 4))  # normal +y, cells (i, 0, k)
         wall_b = wall_yz((0, 10), (0, 4))  # normal +x, cells (0, j, k)
-        planes = grow_planes(extract(np.vstack([wall_a, wall_b])))
+        voxmap = extract(np.vstack([wall_a, wall_b]))
+        planes = grow_planes(voxmap)
         assert len(planes) == 2
 
         crease = {(0, 0, k) for k in range(4)}
-        by_cells = {frozenset(p.member_cells): p for p in planes}
+        boundary_of = dict(zip(
+            map(frozenset, segment_cells(voxmap, planes.member_rows, planes.member_offsets)),
+            segment_cells(voxmap, planes.boundary_rows, planes.boundary_offsets),
+        ))
         expected_a = frozenset((i, 0, k) for i in range(1, 10) for k in range(4))
         expected_b = frozenset((0, j, k) for j in range(1, 10) for k in range(4))
-        assert expected_a in by_cells
-        assert expected_b in by_cells
-        assert set(by_cells[expected_a].boundary_cells) == crease
-        assert set(by_cells[expected_b].boundary_cells) == crease
+        assert expected_a in boundary_of
+        assert expected_b in boundary_of
+        assert set(boundary_of[expected_a]) == crease
+        assert set(boundary_of[expected_b]) == crease
 
     def test_partition_and_criterion_fidelity(self):
         cloud = np.vstack(
@@ -174,8 +183,8 @@ class TestGrowPlanes:
         voxmap = extract(cloud)
         planes = grow_planes(voxmap)
         seen = set()
-        for plane in planes:
-            members = set(plane.member_cells)
+        for cells in segment_cells(voxmap, planes.member_rows, planes.member_offsets):
+            members = set(cells)
             assert not (members & seen)
             seen |= members
             rows = voxmap.lookup(sorted(members))
@@ -188,9 +197,10 @@ class TestGrowPlanes:
         voxmap = extract(cloud)
         planes = grow_planes(voxmap, normal_merge_tol=0.02)
         assert planes
-        for plane in planes:
-            for row in voxmap.lookup(plane.member_cells):
-                assert abs(float(voxmap.normals[row] @ plane.normal)) > 1.0 - 0.02
+        members = segment_cells(voxmap, planes.member_rows, planes.member_offsets)
+        for cells, normal in zip(members, planes.normals):
+            for row in voxmap.lookup(cells):
+                assert abs(float(voxmap.normals[row] @ normal)) > 1.0 - 0.02
 
     def test_translation_equivariance(self):
         cloud = np.vstack([wall_xz((0, 6), (0, 3)), wall_yz((0, 6), (0, 3))])
@@ -200,11 +210,13 @@ class TestGrowPlanes:
         planes_a = grow_planes(voxmap_a)
         planes_b = grow_planes(voxmap_b)
         assert len(planes_a) == len(planes_b)
-        for pa, pb in zip(planes_a, planes_b):
-            assert set(pb.member_cells) == {
-                (c[0] + 3, c[1] - 2, c[2] + 1) for c in pa.member_cells
-            }
-            assert np.allclose(pb.center, pa.center + shift, atol=1e-9)
+        members_a = segment_cells(voxmap_a, planes_a.member_rows, planes_a.member_offsets)
+        members_b = segment_cells(voxmap_b, planes_b.member_rows, planes_b.member_offsets)
+        for cells_a, cells_b, center_a, center_b in zip(
+            members_a, members_b, planes_a.centers, planes_b.centers
+        ):
+            assert set(cells_b) == {(c[0] + 3, c[1] - 2, c[2] + 1) for c in cells_a}
+            assert np.allclose(center_b, center_a + shift, atol=1e-9)
         assert np.array_equal(voxmap_b.cells, voxmap_a.cells + [3, -2, 1])
         dense = ~np.isnan(voxmap_a.eigenvalues[:, 0])
         assert np.array_equal(dense, ~np.isnan(voxmap_b.eigenvalues[:, 0]))
@@ -214,12 +226,41 @@ class TestGrowPlanes:
     def test_plane_center_is_weighted_voxel_mean(self):
         cloud = floor_patch((0, 4), (0, 4))
         voxmap = extract(cloud)
-        [plane] = grow_planes(voxmap)
-        rows = voxmap.lookup(plane.member_cells)
+        planes = grow_planes(voxmap)
+        assert len(planes) == 1
+        [cells] = segment_cells(voxmap, planes.member_rows, planes.member_offsets)
+        rows = voxmap.lookup(cells)
         weights = voxmap.counts[rows].astype(float)
         means = voxmap.means[rows]
         expected = (means * weights[:, None]).sum(axis=0) / weights.sum()
-        assert np.allclose(plane.center, expected, atol=1e-12)
+        assert np.allclose(planes.centers[0], expected, atol=1e-12)
+
+    def test_no_plane_voxels_give_an_empty_set(self):
+        voxmap = extract(np.zeros((1, 3)))
+        planes = grow_planes(voxmap)
+        assert len(planes) == 0
+        assert planes.centers.shape == planes.normals.shape == (0, 3)
+        assert planes.member_offsets.tolist() == planes.boundary_offsets.tolist() == [0]
+        assert keyframe_keypoints(planes, voxmap) == []
+
+    def test_mask_selects_rows(self):
+        cloud = np.vstack([wall_xz((0, 10), (0, 4)), wall_yz((0, 10), (0, 4)),
+                           floor_patch((2, 8), (2, 8))])
+        voxmap = extract(cloud)
+        planes = grow_planes(voxmap)
+        keep = np.arange(len(planes)) % 2 == 1
+        kept = planes[keep]
+        assert len(kept) == keep.sum() > 0
+        assert np.array_equal(kept.centers, planes.centers[keep])
+        assert np.array_equal(kept.normals, planes.normals[keep])
+        assert np.array_equal(kept.point_counts, planes.point_counts[keep])
+        for rows, offsets in (("member_rows", "member_offsets"),
+                              ("boundary_rows", "boundary_offsets")):
+            every = segment_cells(voxmap, getattr(planes, rows), getattr(planes, offsets))
+            assert (segment_cells(voxmap, getattr(kept, rows), getattr(kept, offsets))
+                    == [cells for cells, k in zip(every, keep) if k])
+        with pytest.raises(TypeError):
+            planes[0]  # no one-plane objects, so no iteration either
 
     def test_26_connectivity_bridges_diagonal_gaps(self):
         # two floor patches touching only at a corner: separate planes under
@@ -235,7 +276,10 @@ class TestGrowPlanes:
 
 
 def test_canonical_normal_flips_dominant_component():
-    assert np.allclose(canonical_normal(np.array([0.0, 0.0, -1.0])), [0, 0, 1])
+    def canonical(n):
+        return canonical_normals(np.asarray(n, dtype=np.float64).reshape(1, 3))[0]
+
+    assert np.allclose(canonical(np.array([0.0, 0.0, -1.0])), [0, 0, 1])
     n = np.array([0.6, -0.8, 0.0])
-    assert np.allclose(canonical_normal(n), [-0.6, 0.8, 0.0])
-    assert np.allclose(canonical_normal(-n), [-0.6, 0.8, 0.0])
+    assert np.allclose(canonical(n), [-0.6, 0.8, 0.0])
+    assert np.allclose(canonical(-n), [-0.6, 0.8, 0.0])
