@@ -3,19 +3,18 @@
 A frame's signatures, computed once when the frame was built or loaded, are
 quantized componentwise and the six cells mixed into one 64-bit bucket key.
 Stored descriptors are held column-wise, one row per descriptor in insertion
-order: its six cells, the insertion index of its frame and its row in that
-frame's ``DescriptorFrame``. The bucket index is two more columns, bucket
-keys and the rows they point to, cut into consecutive segments that are each
-sorted by key. An insert appends the new frame as a segment and merges the
-newest two segments (one in-place sort of the tail) while the older is at
-most twice the size of the newer, so segments shrink geometrically, there
-are at most log2(rows) + 1 of them, and a row is re-sorted O(log rows) times
-over its life. A query binary-searches each segment for its bucket keys and
-gathers every matching row in one step, so its cost follows the number of
-matches, not the length of a bucket. The full cell 6-tuple is compared on
-every lookup, so bucket collisions between distinct cells never produce
-false matches. Inserting a frame is atomic with respect to concurrent
-queries.
+order: its six cells. A frame is a range of rows, from its start row to the
+next frame's. The bucket index is two more columns, bucket keys and the rows
+they point to, cut into consecutive segments that are each sorted by key. An
+insert appends the new frame as a segment and merges the newest two
+segments (one in-place sort of the tail) while the older is at most twice
+the size of the newer, so segments shrink geometrically, there are at most
+log2(rows) + 1 of them, and a row is re-sorted O(log rows) times over its
+life. A query binary-searches each segment for its bucket keys and gathers
+every matching row in one step, so its cost follows the number of matches,
+not the length of a bucket. The full cell 6-tuple is compared on every
+lookup, so bucket collisions between distinct cells never produce false
+matches. Inserting a frame is atomic with respect to concurrent queries.
 
 A keyframe is queried and then inserted, so a frame's cells, bucket keys and
 key order are computed once and kept for the insert that follows its query.
@@ -90,14 +89,13 @@ class Candidate:
 @dataclass(frozen=True)
 class _Votes:
     """Vote kernel output. Voted frames ranked by (-votes, frame id), and one
-    match per vote, in query order."""
+    match per vote, grouped by frame, each frame's matches in query order."""
 
-    frames: np.ndarray        # insertion index of each ranked frame
     frame_ids: np.ndarray
     votes: np.ndarray
-    query_rows: np.ndarray    # per match: the query descriptor's row,
-    slots: np.ndarray         # its partner's row in the stored frame,
-    match_frames: np.ndarray  # and the frame's insertion index
+    firsts: np.ndarray      # position of each ranked frame's first match
+    query_rows: np.ndarray  # per match: the query descriptor's row
+    slots: np.ndarray       # and its partner's row in the stored frame
 
 
 _SNAPSHOT_MAGIC = b"TRIDESC1"
@@ -122,7 +120,7 @@ def _frame_record(frame: DescriptorFrame) -> np.ndarray:
 class DescriptorDatabase:
     """All historical descriptors, bucketed by quantized signature."""
 
-    _COLUMNS = ("_cells", "_row_frame", "_row_slot", "_index_keys", "_index_rows")
+    _COLUMNS = ("_cells", "_index_keys", "_index_rows")
 
     def __init__(self, delta_l: float = 0.2, delta_n: float = 0.1):
         if not (0 < delta_l < math.inf and 0 < delta_n < math.inf):
@@ -131,12 +129,11 @@ class DescriptorDatabase:
         self.delta_n = delta_n
         # one row per stored descriptor; capacity grows geometrically
         self._cells = np.empty((0, 6), dtype=np.int64)
-        self._row_frame = np.empty(0, dtype=np.int64)  # insertion index of the frame
-        self._row_slot = np.empty(0, dtype=np.int64)   # row in the frame
         # the bucket index, a permutation of the rows; see the module docstring
         self._index_keys = np.empty(0, dtype=np.uint64)
         self._index_rows = np.empty(0, dtype=np.int64)
         self._segment_starts: list[int] = []
+        self._frame_starts = np.zeros(1, dtype=np.int64)  # each frame's first row, then the end
         self._insertion_order: list[int] = []
         self._frames: dict[int, DescriptorFrame] = {}
         self._descriptors_indexed = 0
@@ -154,7 +151,7 @@ class DescriptorDatabase:
     @property
     def nbytes(self) -> int:
         """Bytes of the stored frames and of the row and index columns, the
-        columns at their full capacity."""
+        columns at their full capacity: 64 per row."""
         with self._lock:
             return (sum(getattr(self, name).nbytes for name in self._COLUMNS)
                     + sum(frame.nbytes for frame in self._frames.values()))
@@ -185,19 +182,18 @@ class DescriptorDatabase:
             stop = start + len(frame)
             self._reserve(stop)
             self._cells[start:stop] = keys.cells
-            self._row_frame[start:stop] = len(self._insertion_order)
-            self._row_slot[start:stop] = np.arange(len(frame))
             self._index_keys[start:stop] = keys.sorted_buckets
             self._index_rows[start:stop] = start + keys.order
             if len(frame):
                 self._segment_starts.append(start)
                 self._merge_segments(stop)
+            self._frame_starts = np.append(self._frame_starts, stop)
             self._frames[frame_id] = frame
             self._insertion_order.append(frame_id)
             self._descriptors_indexed = stop
 
     def _reserve(self, n_rows: int) -> None:
-        capacity = len(self._row_frame)
+        capacity = len(self._index_rows)
         if n_rows <= capacity:
             return
         capacity = max(n_rows, 2 * capacity, 1024)
@@ -219,15 +215,18 @@ class DescriptorDatabase:
             self._index_keys[tail] = self._index_keys[tail][order]
             self._index_rows[tail] = self._index_rows[tail][order]
 
-    def _bucket_rows(self, keys: _FrameKeys) -> tuple[np.ndarray, np.ndarray]:
-        """Every (query index, stored row) pair whose bucket keys are equal,
-        ordered by query index, then stored row."""
+    def _bucket_rows(self, keys: _FrameKeys, below: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every (query index, stored row) pair whose bucket keys are equal, in
+        the segments that start below row ``below``, ordered by query index,
+        then stored row."""
         # sorted needles keep each segment's binary searches on shared paths
         order, needles = keys.order, keys.sorted_buckets
         none = np.empty(0, dtype=np.int64)
         query, first, counts = [none], [none], [none]
         bounds = self._segment_starts + [self._descriptors_indexed]
         for start, stop in zip(bounds, bounds[1:]):
+            if start >= below:  # segments hold ascending row ranges
+                break
             segment = self._index_keys[start:stop]
             lo = segment.searchsorted(needles)
             hit = np.flatnonzero(segment.take(lo, mode="clip") == needles)
@@ -252,27 +251,33 @@ class DescriptorDatabase:
     def _vote(self, frame: DescriptorFrame, skip_recent: int) -> _Votes:
         """The vote kernel: one vote per (query descriptor, frame) cell match.
 
+        The newest skip_recent frames are the rows from the first of them on.
         Matches come ordered by (query row, stored row), and a frame's rows
         are consecutive, so the first match of each (query row, frame) is the
         frame's earliest stored descriptor in the cell: its pair partner.
         """
         keys = self._queried = self._keys(frame)  # kept for the frame's insert
         with self._lock:
-            query, stored = self._bucket_rows(keys)
-            frames = self._row_frame[stored]
-            if skip_recent > 0:
-                old = frames < self.frames_indexed - skip_recent
-                query, stored, frames = query[old], stored[old], frames[old]
-            keep = (self._cells[stored] == keys.cells[query]).all(axis=1)
-            query, stored, frames = query[keep], stored[keep], frames[keep]
+            starts = self._frame_starts
+            below = starts[max(self.frames_indexed - max(skip_recent, 0), 0)]
+            query, stored = self._bucket_rows(keys, int(below))
+            # the last segment searched may hold rows from below on
+            keep = (stored < below) & (self._cells[stored] == keys.cells[query]).all(axis=1)
+            query, stored = query[keep], stored[keep]
+            frames = starts.searchsorted(stored, side="right") - 1  # skips empty frames
             first = np.ones(len(query), dtype=bool)
             first[1:] = (query[1:] != query[:-1]) | (frames[1:] != frames[:-1])
             query, stored, frames = query[first], stored[first], frames[first]
-            slots = self._row_slot[stored]
-            voted, votes = np.unique(frames, return_counts=True)
-            ids = np.array([self._insertion_order[f] for f in voted.tolist()], dtype=np.int64)
+            # a stable sort by frame: each (frame, query row) is matched once
+            by_frame = np.argsort(frames * len(frame) + query)
+            query, stored, frames = query[by_frame], stored[by_frame], frames[by_frame]
+            firsts = np.flatnonzero(np.diff(frames, prepend=-1))
+            votes = np.diff(firsts, append=len(frames))
+            slots = stored - starts[frames]
+            ids = np.array([self._insertion_order[f] for f in frames[firsts].tolist()],
+                           dtype=np.int64)
         rank = np.lexsort((ids, -votes))
-        return _Votes(voted[rank], ids[rank], votes[rank], query, slots, frames)
+        return _Votes(ids[rank], votes[rank], firsts[rank], query, slots)
 
     def vote_counts(self, frame: DescriptorFrame, skip_recent: int = 0) -> dict[int, int]:
         """Votes per stored frame: one per (query descriptor, frame) cell match."""
@@ -287,18 +292,13 @@ class DescriptorDatabase:
         becomes the pair partner. Pairs are listed in query order.
         """
         result = self._vote(frame, skip_recent)
-        candidates = []
-        for f, fid, n in zip(
-            result.frames[:TOP_K_CANDIDATES].tolist(),
-            result.frame_ids[:TOP_K_CANDIDATES].tolist(),
-            result.votes[:TOP_K_CANDIDATES].tolist(),
-        ):
-            mine = result.match_frames == f
-            # an inserted frame never changes
-            pairs = DescriptorPairs(frame, self._frames[fid],
-                                    result.query_rows[mine], result.slots[mine])
-            candidates.append(Candidate(frame_id=fid, votes=n, pairs=pairs))
-        return candidates
+        top = slice(TOP_K_CANDIDATES)
+        # an inserted frame never changes
+        return [Candidate(fid, n, DescriptorPairs(frame, self._frames[fid],
+                                                  result.query_rows[lo : lo + n],
+                                                  result.slots[lo : lo + n]))
+                for fid, n, lo in zip(result.frame_ids[top].tolist(),
+                                      result.votes[top].tolist(), result.firsts[top].tolist())]
 
     # -- persistence ---------------------------------------------------------
 

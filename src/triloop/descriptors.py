@@ -218,12 +218,6 @@ class DescriptorPairs:
     def stored(self) -> DescriptorFrame:
         return self.stored_frame[self.stored_rows]
 
-    def vertices(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (P, 3, 3) vertices of the query rows and of the stored rows."""
-        query, stored = self.query_frame, self.stored_frame
-        return (query.positions[query.vertex_ids[self.query_rows]],
-                stored.positions[stored.vertex_ids[self.stored_rows]])
-
     def __len__(self) -> int:
         return len(self.query_rows)
 

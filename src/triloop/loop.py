@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 from typing import TypeVar
 
 import numpy as np
@@ -37,7 +38,8 @@ from .planes import PlaneSet
 
 MIN_INLIER_PAIRS = 4
 MIN_REFINE_PAIRS = 10
-INLIER_CHUNK = 1 << 18  # (vertex, hypothesis) distances per inlier-count step; bounds temporaries
+INLIER_CHUNK = 1 << 18  # (correspondence, hypothesis) cells per inlier step; bounds temporaries
+_IN, _NEAR, _OUT = np.uint8(0), np.uint8(1), np.uint8(2)  # decisions of inlier cells
 
 MODES = ("first", "best")  # loop selection rules, see select_loop
 
@@ -70,22 +72,25 @@ def ransac_transform(
     inlier_tol. The best iteration's inliers are re-solved jointly and
     returned as pairs.
 
-    All samples are drawn and solved in one batch, and inliers are counted
-    for all hypotheses at once, a chunk of pairs at a time; the result,
-    including the generator's state afterwards, is that of solving and
-    counting one iteration after another.
+    All samples are drawn and solved in one batch, and each distinct (query
+    key point, stored key point) correspondence is tested once per
+    hypothesis; the result, including the generator's state afterwards, is
+    that of solving and counting one iteration after another.
     """
     if not len(pairs):
         raise NoValidTransform("no matched pairs to verify")
     rng = np.random.default_rng(0) if rng is None else rng
-
-    src_tris, dst_tris = pairs.vertices()
+    query, stored = pairs.query_frame, pairs.stored_frame
+    src_ids = query.vertex_ids[pairs.query_rows]  # (P, 3) key-point ids
+    dst_ids = stored.vertex_ids[pairs.stored_rows]
 
     picks = rng.integers(len(pairs), size=max(iterations, 0))
-    picks = picks[~collinear_triples(src_tris[picks])]  # degenerate samples are skipped
-    if len(picks):
-        R, t = solve_rigid_svd_batch(src_tris[picks], dst_tris[picks])
-        counts = _count_inliers(src_tris, dst_tris, R, t, inlier_tol)
+    samples = query.positions[src_ids[picks]]
+    solid = ~collinear_triples(samples)  # degenerate samples are skipped
+    if solid.any():
+        R, t = solve_rigid_svd_batch(samples[solid], stored.positions[dst_ids[picks[solid]]])
+        src, dst, links = _correspondences(query.positions, stored.positions, src_ids, dst_ids)
+        counts, states = _count_inliers(src, dst, links, R, t, inlier_tol)
         best = int(np.argmax(counts))  # first of the strictly highest, in draw order
         best_count = int(counts[best])
     else:
@@ -94,12 +99,21 @@ def ransac_transform(
         raise NoValidTransform(
             f"best sample has {best_count} inlier pairs, need {MIN_INLIER_PAIRS}"
         )
-    best_mask = _inlier_mask(src_tris, dst_tris, R[best], t[best], inlier_tol)
-    inliers = pairs[best_mask]
-    refined = solve_rigid_svd(
-        Correspondences3(src_tris[best_mask].reshape(-1, 3), dst_tris[best_mask].reshape(-1, 3))
-    )
-    return refined, inliers
+    best_mask = _pair_inliers(states[:, [best]], src, dst, links, R[[best]], t[[best]],
+                              inlier_tol)[:, 0]
+    matched = links[best_mask].ravel()  # the inliers' vertices, pair by pair
+    refined = solve_rigid_svd(Correspondences3(src[matched], dst[matched]))
+    return refined, pairs[best_mask]
+
+
+def _correspondences(src_points, dst_points, src_ids, dst_ids):
+    """The distinct (source key point, target key point) correspondences of
+    (P, 3) vertex ids into two key-point tables: their (U, 3) source and
+    target points, and the (P, 3) correspondence row of every vertex."""
+    packed = src_ids.astype(np.int64).ravel() * len(dst_points) + dst_ids.ravel()
+    distinct, links = np.unique(packed, return_inverse=True)
+    src_rows, dst_rows = np.divmod(distinct, len(dst_points))
+    return src_points[src_rows], dst_points[dst_rows], links.reshape(src_ids.shape)
 
 
 def _inlier_mask(src_tris, dst_tris, R, t, inlier_tol) -> np.ndarray:
@@ -109,33 +123,28 @@ def _inlier_mask(src_tris, dst_tris, R, t, inlier_tol) -> np.ndarray:
     return np.all(np.linalg.norm(moved - dst_tris, axis=2) < inlier_tol, axis=1)
 
 
-def _count_inliers(src_tris, dst_tris, R, t, inlier_tol) -> np.ndarray:
-    """_inlier_mask(...).sum() for every hypothesis (R[h], t[h]), exactly.
+def _count_inliers(src, dst, links, R, t, inlier_tol) -> tuple[np.ndarray, np.ndarray]:
+    """Inlier pairs of every hypothesis (R[h], t[h]), exactly
+    _inlier_mask(src[links], dst[links], R[h], t[h], inlier_tol).sum(), and
+    the (U, hypotheses) decisions they were read from.
 
-    One gemm per chunk of pairs gives every vertex's squared miss from
-    |R s + t - d|^2 = |s|^2 + |d|^2 + |t|^2 + 2 (R^T t).s - 2 t.d - 2 (d s^T):R,
-    which holds for orthonormal R. The form cancels, so it decides only the
-    (pair, hypothesis) rows that clear the tolerance by a margin above its
+    src and dst are (U, 3) correspondences, links (P, 3) a pair's three rows
+    of them. One gemm per chunk of correspondences gives every squared miss
+    from |R s + t - d|^2 = |s|^2 + |d|^2 + |t|^2 + 2 (R^T t).s - 2 t.d
+    - 2 (d s^T):R, which holds for orthonormal R. The form cancels, so it
+    decides only the cells that clear the tolerance by a margin above its
     error: ten times ORTHONORMALITY_TOL relative to the coordinate scale
     squared, against 3 * ORTHONORMALITY_TOL for |R s| != |s| and ~1e-13 of
-    rounding. The few rows inside that margin go to _inlier_mask itself.
-
-    The pair terms are vertex-major, (3, pairs, 17), so a chunk's misses come
-    out as three contiguous (pairs, hypotheses) slabs, one per vertex.
+    rounding. A cell is _IN, _OUT, or _NEAR: inside that margin, or NaN.
     """
     counts = np.zeros(len(R), dtype=np.int64)
     if not inlier_tol > 0:  # no distance is below a non-positive tolerance
-        return counts
-    s = np.swapaxes(src_tris, 0, 1)  # (3, P, 3): vertex, pair, coordinate
-    d = np.swapaxes(dst_tris, 0, 1)
-    pair_terms = np.empty(s.shape[:2] + (17,))
-    np.add(np.einsum("vpj,vpj->vp", s, s), np.einsum("vpj,vpj->vp", d, d),
-           out=pair_terms[..., 0])
-    pair_terms[..., 1] = 1.0
-    pair_terms[..., 2:5] = s
-    pair_terms[..., 5:8] = d
-    np.multiply(d[..., :, None], s[..., None, :],
-                out=pair_terms[..., 8:].reshape(s.shape[:2] + (3, 3)))  # d s^T
+        return counts, np.full((len(src), len(R)), _OUT)
+    corr_terms = np.empty((len(src), 17))  # |s|^2 + |d|^2, 1, s, d, d s^T
+    corr_terms[:, 0] = np.einsum("uj,uj->u", src, src) + np.einsum("uj,uj->u", dst, dst)
+    corr_terms[:, 1] = 1.0
+    corr_terms[:, 2:5], corr_terms[:, 5:8] = src, dst
+    corr_terms[:, 8:] = (dst[:, :, None] * src[:, None, :]).reshape(-1, 9)
     hyp_terms = np.concatenate(
         [
             np.ones((len(R), 1)),
@@ -146,34 +155,52 @@ def _count_inliers(src_tris, dst_tris, R, t, inlier_tol) -> np.ndarray:
         ],
         axis=1,
     ).T
-    scale = sum(float(np.sqrt(np.einsum("ij,ij->i", a, a).max()))
-                for a in (src_tris.reshape(-1, 3), dst_tris.reshape(-1, 3), t))
+    scale = sum(float(np.sqrt(np.einsum("ij,ij->i", a, a).max())) for a in (src, dst, t))
     margin = 10 * ORTHONORMALITY_TOL * (1.0 + scale) ** 2
-    if not np.isfinite(margin):  # non-finite or huge coordinates: decide every row exactly
+    if not np.isfinite(margin):  # non-finite or huge coordinates: every cell is near
         margin = np.nan
     inside_below, outside_from = inlier_tol**2 - margin, inlier_tol**2 + margin
-    step = max(1, INLIER_CHUNK // (3 * len(R)))
-    for lo in range(0, len(src_tris), step):
-        miss2 = pair_terms[:, lo : lo + step] @ hyp_terms  # (3, pairs, hypotheses)
-        worst = np.maximum(np.maximum(miss2[0], miss2[1]), miss2[2])
-        inside, outside = worst < inside_below, worst >= outside_from
-        n_inside = np.count_nonzero(inside, axis=0)
-        counts += n_inside
-        # rows neither inside nor outside, NaN rows among them, are near the tolerance
-        if n_inside.sum() + np.count_nonzero(outside) == worst.size:
-            continue
-        pair, hyp = np.nonzero(~(inside | outside))
-        pair += lo
-        ok = _inlier_mask(src_tris[pair], dst_tris[pair], R[hyp], t[hyp], inlier_tol)
-        counts += np.bincount(hyp[ok], minlength=len(R))
-    return counts
+    states = np.empty((len(src), len(R)), dtype=np.uint8)
+    step = max(1, INLIER_CHUNK // len(R))
+    for lo in range(0, len(src), step):
+        miss2 = corr_terms[lo : lo + step] @ hyp_terms  # (correspondences, hypotheses)
+        # one from the inner bound on and one past the outer; NaN lands on _NEAR
+        np.add(miss2 >= inside_below, ~(miss2 < outside_from), dtype=np.uint8,
+               out=states[lo : lo + step])
+    for lo in range(0, len(links), step):
+        pairs = _pair_inliers(states, src, dst, links[lo : lo + step], R, t, inlier_tol)
+        counts += np.count_nonzero(pairs, axis=0)
+    return counts, states
 
 
-def _normal_residuals(rotated_normals: np.ndarray, target_normals: np.ndarray) -> np.ndarray:
-    """Sign-robust normal differences: the smaller of ||Ru - u'|| and ||Ru + u'||."""
-    minus = np.linalg.norm(rotated_normals - target_normals, axis=1)
-    plus = np.linalg.norm(rotated_normals + target_normals, axis=1)
-    return np.minimum(minus, plus)
+def _pair_inliers(states, src, dst, links, R, t, inlier_tol) -> np.ndarray:
+    """_inlier_mask(src[links], dst[links], R[h], t[h], ...) for every h, read
+    from the decisions ``states``: a pair is in when its three are _IN, out
+    when any is _OUT, and _inlier_mask decides the rest."""
+    verdict = np.maximum(np.maximum(states.take(links[:, 0], axis=0),
+                                    states.take(links[:, 1], axis=0)),
+                         states.take(links[:, 2], axis=0))
+    inliers = verdict == _IN
+    pair, hyp = np.divmod(np.flatnonzero(verdict == _NEAR), len(R))
+    near = links[pair]
+    inliers[pair, hyp] = _inlier_mask(src[near], dst[near], R[hyp], t[hyp], inlier_tol)
+    return inliers
+
+
+def _associate(current: PlaneSet, candidate: PlaneSet, tree: cKDTree, T: RigidTransform,
+               sigma_n: float, sigma_d: float):
+    """Current planes moved by T, each paired with the nearest candidate centre:
+    the mask of pairs that coincide (normals agree up to sign within sigma_n,
+    point-to-plane distance below sigma_d), the nearest rows, and signs +-1."""
+    centers = current.centers @ T.R.T + T.t
+    normals = current.normals @ T.R.T
+    _, nearest = tree.query(centers)
+    tgt_n = candidate.normals[nearest]
+    minus = np.linalg.norm(normals - tgt_n, axis=1)
+    plus = np.linalg.norm(normals + tgt_n, axis=1)
+    d_res = np.abs(np.einsum("ij,ij->i", tgt_n, centers - candidate.centers[nearest]))
+    mask = (np.minimum(minus, plus) < sigma_n) & (d_res < sigma_d)
+    return mask, nearest, np.where(minus <= plus, 1.0, -1.0)
 
 
 def plane_overlap(
@@ -191,16 +218,9 @@ def plane_overlap(
     """
     if not current or not candidate:
         raise EmptyPlaneList("plane overlap needs non-empty plane sets")
-    cand_centers, cand_normals = candidate.centers, candidate.normals
-    tree = cKDTree(cand_centers)
-
-    centers = current.centers @ transform.R.T + transform.t
-    normals = current.normals @ transform.R.T
-    _, nearest = tree.query(centers)
-    n_res = _normal_residuals(normals, cand_normals[nearest])
-    d_res = np.abs(np.einsum("ij,ij->i", cand_normals[nearest], centers - cand_centers[nearest]))
-    coinciding = np.count_nonzero((n_res < sigma_n) & (d_res < sigma_d))
-    return coinciding / len(current)
+    mask, _, _ = _associate(current, candidate, cKDTree(candidate.centers), transform,
+                            sigma_n, sigma_d)
+    return np.count_nonzero(mask) / len(current)
 
 
 def score_candidates(
@@ -281,30 +301,21 @@ def plane_icp(
         raise EmptyPlaneList("plane refinement needs non-empty plane sets")
     cand_centers, cand_normals = candidate.centers, candidate.normals
     cur_centers, cur_normals = current.centers, current.normals
-    tree = cKDTree(cand_centers)
+    associate = partial(_associate, current, candidate, cKDTree(cand_centers),
+                        sigma_n=sigma_n, sigma_d=sigma_d)
 
-    def associate(T: RigidTransform):
-        centers = cur_centers @ T.R.T + T.t
-        normals = cur_normals @ T.R.T
-        _, nearest = tree.query(centers)
-        tgt_n = cand_normals[nearest]
-        tgt_c = cand_centers[nearest]
-        n_res = _normal_residuals(normals, tgt_n)
-        d_res = np.abs(np.einsum("ij,ij->i", tgt_n, centers - tgt_c))
-        mask = (n_res < sigma_n) & (d_res < sigma_d)
-        # per-pair normal sign that minimizes the residual
-        minus = np.linalg.norm(normals - tgt_n, axis=1)
-        plus = np.linalg.norm(normals + tgt_n, axis=1)
-        signs = np.where(minus <= plus, 1.0, -1.0)
-        return mask, nearest, signs
-
-    def cost(T: RigidTransform, mask, nearest, signs) -> float:
+    def residuals(T: RigidTransform, mask, nearest, signs):
+        """rn = (R u - s u') / sigma_n and rd = u'.(R g + t - g') / sigma_d of
+        the associated pairs, then the moved centres R g + t, normals R u and u'."""
         centers = cur_centers[mask] @ T.R.T + T.t
         normals = cur_normals[mask] @ T.R.T
         tgt_n = cand_normals[nearest[mask]]
-        tgt_c = cand_centers[nearest[mask]]
         rn = (normals - signs[mask, None] * tgt_n) / sigma_n
-        rd = np.einsum("ij,ij->i", tgt_n, centers - tgt_c) / sigma_d
+        rd = np.einsum("ij,ij->i", tgt_n, centers - cand_centers[nearest[mask]]) / sigma_d
+        return rn, rd, centers, normals, tgt_n
+
+    def cost(T: RigidTransform, *association) -> float:
+        rn, rd = residuals(T, *association)[:2]
         return float(np.sum(rn * rn) + np.sum(rd * rd))
 
     mask0, nearest0, signs0 = associate(initial)
@@ -321,15 +332,7 @@ def plane_icp(
         mask, nearest, signs = associate(T)
         if int(mask.sum()) < MIN_REFINE_PAIRS:
             break
-        centers = cur_centers[mask] @ T.R.T + T.t
-        normals = cur_normals[mask] @ T.R.T
-        tgt_n = cand_normals[nearest[mask]]
-        tgt_c = cand_centers[nearest[mask]]
-        s = signs[mask]
-
-        # residuals: rn = (R u - s u') / sigma_n,  rd = u'.(R g + t - g') / sigma_d
-        rn = (normals - s[:, None] * tgt_n) / sigma_n
-        rd = np.einsum("ij,ij->i", tgt_n, centers - tgt_c) / sigma_d
+        rn, rd, centers, normals, tgt_n = residuals(T, mask, nearest, signs)
 
         # left perturbation: R <- Exp(dw) R, t <- t + dt
         # d rn / d dw = -[R u]x / sigma_n; d rd / d dw = ((R g) x u')/sigma_d; d rd / d dt = u'/sigma_d
@@ -341,7 +344,7 @@ def plane_icp(
         J[n_pairs * 3 :, 0:3] = np.cross(rotated_centers, tgt_n) / sigma_d
         J[n_pairs * 3 :, 3:6] = tgt_n / sigma_d
 
-        current_cost = cost(T, mask, nearest, signs)
+        current_cost = float(np.sum(rn * rn) + np.sum(rd * rd))
         step_taken = False
         for _ in range(8):
             H = J.T @ J + damping * np.eye(6)

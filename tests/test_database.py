@@ -517,6 +517,20 @@ class TestVoteKernel:
         first = [int(np.flatnonzero(picks == b)[0]) for b in range(len(base))]
         assert cand.pairs.stored_rows.tolist() == first
 
+    def test_pairs_of_many_frames_stay_in_query_order(self):
+        # every query row matches every frame, so the matches of one frame
+        # are spread over the whole match list before they are grouped
+        rng = np.random.default_rng(27)
+        base = synth_frame(rng, 0, 300)
+        db = DescriptorDatabase()
+        for f in range(6):
+            db.insert_frame(f, dataclasses.replace(base, frame_id=f))
+        cands = db.query_candidates(dataclasses.replace(base, frame_id=9), skip_recent=0)
+        assert [(c.frame_id, c.votes) for c in cands] == [(f, 300) for f in range(6)]
+        for c in cands:
+            assert c.pairs.query_rows.tolist() == list(range(300))
+            assert c.pairs.stored_rows.tolist() == list(range(300))
+
     def test_pairs_follow_query_order_and_equal_votes(self):
         rng = np.random.default_rng(24)
         db = DescriptorDatabase()
@@ -542,8 +556,10 @@ class TestVoteKernel:
         assert db.vote_counts(query, skip_recent=3) == expected
 
     def test_long_buckets_across_merged_segments(self):
-        # frames of uneven size, some empty, share a few cells, so buckets
-        # span many frames and the index merges segments at uneven points
+        # frames of uneven size, every fifth one empty, share a few cells, so
+        # buckets span many frames and the index merges segments at uneven
+        # points; the skip cut falls inside a segment, at its edge, right
+        # after an empty frame, and before every row
         rng = np.random.default_rng(28)
         shared = synth_frame(rng, 0, 4, side_range=(1.0, 4.0), structured_normals=True)
         db = DescriptorDatabase()
@@ -553,12 +569,12 @@ class TestVoteKernel:
                                      side_range=(1.0, 4.0), structured_normals=True))
             frame += [dataclasses.replace(shared[i], frame_id=f)
                       for i in rng.integers(0, len(shared), size=int(rng.integers(0, 4)))]
-            frames[f] = [frame[i] for i in rng.permutation(len(frame))]
+            frames[f] = [frame[i] for i in rng.permutation(len(frame))] if f % 5 != 2 else []
             db.insert_frame(f, stack_frame(frames[f], f))
         query = stack_frame(list(shared) + list(synth_frame(rng, 99, 30, side_range=(1.0, 4.0),
                                                             structured_normals=True)), 99)
         stored = [d for frame in frames.values() for d in frame]
-        for skip in (0, 5):
+        for skip in (0, 1, 2, 5, 7, 59, 60, 100):
             expected = brute_force_votes(stored, query, db.delta_l, db.delta_n,
                                          excluded=set(range(60 - skip, 60)))
             assert db.vote_counts(query, skip_recent=skip) == expected
@@ -569,6 +585,44 @@ class TestVoteKernel:
             for q, s in c.pairs:
                 partner = next(d for d in frames[c.frame_id] if key(d, db) == key(q, db))
                 assert same_row(s, partner)
+
+    def test_segments_past_the_skip_cut_are_never_searched(self):
+        # each frame under half the size of the one before it, so every
+        # non-empty frame stays a segment of its own
+        sizes = [200, 70, 25, 0, 9, 3, 0, 1]
+        rng = np.random.default_rng(29)
+        db = DescriptorDatabase()
+        stored, firsts = [], []
+        for f, size in enumerate(sizes):
+            frame = synth_frame(rng, f, size, side_range=(1.0, 4.0), structured_normals=True)
+            stored.extend(frame)
+            firsts.extend(dataclasses.replace(d, frame_id=99) for d in frame[:1])
+            db.insert_frame(f, frame)
+        # a row of every non-empty frame, so each one is voted for
+        others = synth_frame(rng, 99, 30, side_range=(1.0, 4.0), structured_normals=True)
+        query = stack_frame(firsts + list(others), 99)
+        assert len(db.vote_counts(query, skip_recent=0)) == 6
+        searched = []
+
+        class CountedKeys(np.ndarray):
+            """Records the first row of every segment searched."""
+
+            def searchsorted(self, *args, **kwargs):
+                searched.append((self.ctypes.data - first_key) // self.itemsize)
+                return self.view(np.ndarray).searchsorted(*args, **kwargs)
+
+        db._index_keys = db._index_keys.view(CountedKeys)
+        first_key = db._index_keys.ctypes.data
+        segments = db._segment_starts
+        assert len(segments) == 6
+        for skip in range(len(sizes) + 2):
+            searched.clear()
+            kept = max(len(sizes) - skip, 0)
+            expected = brute_force_votes(stored, query, db.delta_l, db.delta_n,
+                                         excluded=set(range(kept, len(sizes))))
+            assert db.vote_counts(query, skip_recent=skip) == expected
+            below = sum(sizes[:kept])
+            assert set(searched) == {start for start in segments if start < below}
 
     def test_empty_query_and_empty_database(self):
         rng = np.random.default_rng(25)
@@ -757,14 +811,14 @@ class TestStreamedSnapshot:
         rows = db.descriptors_indexed
         assert rows > 1024
         frames = sum(frame.nbytes for frame in db._frames.values())
-        # insert grows the columns geometrically, 80 bytes per row of capacity
-        assert db.nbytes == frames + 80 * len(db._row_frame) > frames + 80 * rows
+        # insert grows the columns geometrically, 64 bytes per row of capacity
+        assert db.nbytes == frames + 64 * len(db._index_rows) > frames + 64 * rows
         path = tmp_path / "db.bin"
         db.save(path)
         loaded = DescriptorDatabase.load(path)
         # load sizes them once, from the file, to the rows it holds
         loaded_frames = sum(frame.nbytes for frame in loaded._frames.values())
-        assert loaded.nbytes == loaded_frames + 80 * rows
+        assert loaded.nbytes == loaded_frames + 64 * rows
 
 
 def assert_signatures_match_scalar(frame):
@@ -913,9 +967,11 @@ class TestOneKeyPassPerFrame:
                     assert np.array_equal(getattr(got, column), getattr(frame, column)[rows])
                 assert got.frame_id == frame.frame_id
             assert pairs.query is pairs.query  # gathered once
-            src, dst = pairs.vertices()
-            assert np.array_equal(src, pairs.query.vertices)
-            assert np.array_equal(dst, pairs.stored.vertices)
+            src, dst = pairs.query.vertices, pairs.stored.vertices
+            query_ids = pairs.query_frame.vertex_ids[pairs.query_rows]
+            stored_ids = pairs.stored_frame.vertex_ids[pairs.stored_rows]
+            assert np.array_equal(src, pairs.query_frame.positions[query_ids])
+            assert np.array_equal(dst, pairs.stored_frame.positions[stored_ids])
             mask = np.arange(len(pairs)) % 2 == 0
             for sub in (pairs[mask], pairs[np.flatnonzero(mask)]):
                 assert np.array_equal(sub.query_rows, pairs.query_rows[mask])

@@ -5,7 +5,7 @@ import pytest
 
 from triloop import pipeline
 from triloop.database import DescriptorDatabase
-from triloop.descriptors import DescriptorPairs, TriangleDescriptor
+from triloop.descriptors import DescriptorFrame, DescriptorPairs, TriangleDescriptor
 from triloop.errors import EmptyPlaneList, InsufficientOverlap, NoValidTransform
 from triloop.geometry import (
     RigidTransform,
@@ -17,8 +17,10 @@ from triloop.geometry import (
 )
 from triloop.loop import (
     MIN_INLIER_PAIRS,
+    _correspondences,
     _count_inliers,
     _inlier_mask,
+    _pair_inliers,
     plane_icp,
     plane_overlap,
     ransac_transform,
@@ -188,6 +190,53 @@ def boundary_pairs(rng, n, t: RigidTransform, tol):
     return pairs
 
 
+def every_vertex_distinct(src_tris, dst_tris):
+    """Correspondences of (P, 3, 3) vertex arrays whose every vertex is its
+    own key point, U = 3P: the (U, 3) points and the (P, 3) links."""
+    ids = np.arange(src_tris.size // 3).reshape(-1, 3)
+    return _correspondences(src_tris.reshape(-1, 3), dst_tris.reshape(-1, 3), ids, ids)
+
+
+def count_inliers(src_tris, dst_tris, R, t, tol):
+    """_count_inliers of (P, 3, 3) vertex arrays, every vertex distinct."""
+    src, dst, links = every_vertex_distinct(src_tris, dst_tris)
+    assert len(src) == src_tris.size // 3
+    return _count_inliers(src, dst, links, R, t, tol)[0]
+
+
+def assert_decisions_exact(src, dst, links, R, t, tol):
+    """Counts and every hypothesis's pair mask, read from the same
+    decisions, equal _inlier_mask over all pairs."""
+    counts, states = _count_inliers(src, dst, links, R, t, tol)
+    for h in range(len(R)):
+        expected = _inlier_mask(src[links], dst[links], R[h], t[h], tol)
+        assert counts[h] == np.count_nonzero(expected)
+        got = _pair_inliers(states[:, [h]], src, dst, links, R[[h]], t[[h]], tol)
+        assert np.array_equal(got[:, 0], expected)
+    return counts
+
+
+def shared_keypoint_pairs(rng, truth, tol, n_points=30, n_pairs=400):
+    """Pairs of triangles over two small key-point tables, stored = truth(query)
+    for planted pairs, so that pairs share correspondences (U < 3P). Query
+    key point 0 is matched to two different stored key points, and some
+    stored points sit within a few ulps of tol from where truth moves them."""
+    query_points = rng.uniform(-20, 20, size=(n_points, 3))
+    moved = query_points @ truth.R.T + truth.t
+    offsets = rng.normal(size=(n_points, 3))
+    offsets *= tol * (1.0 + rng.integers(-4, 5, size=(n_points, 1)) * 1e-16) / np.linalg.norm(
+        offsets, axis=1, keepdims=True)
+    near = rng.random(n_points) < 0.3
+    stored_points = np.concatenate([np.where(near[:, None], moved + offsets, moved),
+                                    rng.uniform(-20, 20, size=(n_points, 3))])
+    src_ids = np.stack([rng.choice(n_points, 3, replace=False) for _ in range(n_pairs)])
+    dst_ids = src_ids.copy()
+    outliers = rng.random(n_pairs) < 0.4
+    dst_ids[outliers] = rng.integers(n_points, 2 * n_points, size=(np.count_nonzero(outliers), 3))
+    dst_ids[src_ids == 0] = np.where(np.arange(np.count_nonzero(src_ids == 0)) % 2, 0, n_points)
+    return query_points, stored_points, src_ids, dst_ids
+
+
 class TestBatchedRansacMatchesScalar:
     def assert_same(self, pairs, seeds=range(5), **kwargs):
         stacked = stack_pairs(pairs)
@@ -248,7 +297,7 @@ class TestBatchedRansacMatchesScalar:
             for h in hyps
         ]
         assert 0 < sum(expected) < len(src)
-        assert _count_inliers(src, dst, R, t, tol).tolist() == expected
+        assert count_inliers(src, dst, R, t, tol).tolist() == expected
 
     def test_counts_equal_inlier_mask_per_hypothesis(self, monkeypatch):
         import triloop.loop
@@ -264,13 +313,68 @@ class TestBatchedRansacMatchesScalar:
         far_src, far_dst = src + 1e6, dst - 2e6
         nan_dst = dst.copy()
         nan_dst[3, 1, 2] = np.nan  # a non-finite margin: every row decided exactly
-        # a chunk of 7 pairs, so the pairs span many chunks and a ragged last one
+        # a chunk of 21 correspondences, or of 21 pairs, so they span many
+        # chunks and a ragged last one
         monkeypatch.setattr(triloop.loop, "INLIER_CHUNK", 3 * len(R) * 7)
         for a, b, tol in ((src, dst, 0.5), (src, dst, 0.25), (far_src, far_dst, 0.5),
                           (src, nan_dst, 0.5), (src[:1], dst[:1], 0.5)):
             expected = [int(_inlier_mask(a, b, R[h], t[h], tol).sum()) for h in range(len(R))]
-            assert _count_inliers(a, b, R, t, tol).tolist() == expected
-        assert sum(_count_inliers(src, dst, R, t, 0.5)) > 0
+            assert count_inliers(a, b, R, t, tol).tolist() == expected
+            assert_decisions_exact(*every_vertex_distinct(a, b), R, t, tol)
+        assert sum(count_inliers(src, dst, R, t, 0.5)) > 0
+
+    def test_shared_key_points_decided_once(self, monkeypatch):
+        import triloop.loop
+
+        rng = np.random.default_rng(26)
+        truth = RigidTransform(random_rotation(rng), rng.uniform(-10, 10, 3))
+        query_points, stored_points, src_ids, dst_ids = shared_keypoint_pairs(rng, truth, 0.5)
+        src, dst, links = _correspondences(query_points, stored_points, src_ids, dst_ids)
+        assert len(src) < src_ids.size
+        assert np.array_equal(src[links], query_points[src_ids])
+        assert np.array_equal(dst[links], stored_points[dst_ids])
+        # query key point 0 is matched to two stored key points
+        assert len({tuple(p) for p in dst[links][src_ids == 0]}) == 2
+        picks = rng.integers(len(src_ids), size=30)
+        R, t = solve_rigid_svd_batch(src[links[picks]], dst[links[picks]])
+        monkeypatch.setattr(triloop.loop, "INLIER_CHUNK", 3 * len(R) * 7)
+        for tol in (0.5, 0.25):
+            assert sum(assert_decisions_exact(src, dst, links, R, t, tol)) > 0
+
+    def test_ransac_on_shared_key_points_matches_scalar(self, monkeypatch):
+        import triloop.loop
+
+        rng = np.random.default_rng(27)
+        truth = RigidTransform(random_rotation(rng), rng.uniform(-10, 10, 3))
+        query_points, stored_points, src_ids, dst_ids = shared_keypoint_pairs(rng, truth, 0.5)
+        frames = [
+            DescriptorFrame(points, np.zeros_like(points), ids.astype(np.int32),
+                            np.zeros((len(ids), 6)), frame_id)
+            for frame_id, (points, ids) in enumerate(((query_points, src_ids),
+                                                      (stored_points, dst_ids)))
+        ]
+        rows = np.arange(len(src_ids))
+        pairs = DescriptorPairs(frames[0], frames[1], rows, rows)
+        hypotheses = []
+
+        def recorded(src, dst, links, R, t, tol):
+            counts, states = _count_inliers(src, dst, links, R, t, tol)
+            hypotheses.append((R, t, counts))
+            return counts, states
+
+        monkeypatch.setattr(triloop.loop, "_count_inliers", recorded)
+        for seed in range(4):
+            outcome = ransac_outcome(ransac_transform, pairs, seed)
+            assert outcome[0] != "no transform"
+            assert outcome == ransac_outcome(scalar_ransac, list(zip(pairs.query, pairs.stored)),
+                                             seed)
+            # the winner's inliers are _inlier_mask of every pair under it
+            R, t, counts = hypotheses[-1]
+            best = int(np.argmax(counts))
+            winner = _inlier_mask(query_points[src_ids], stored_points[dst_ids], R[best],
+                                  t[best], 0.5)
+            _, inliers = ransac_transform(pairs, rng=np.random.default_rng(seed))
+            assert np.array_equal(inliers.query_rows, rows[winner])
 
     def test_index_pairs_equal_materialized_pairs(self):
         rng = np.random.default_rng(25)
