@@ -6,6 +6,8 @@ ascending key order is ascending (ix, iy, iz) order and grouping by cell is a
 1-D sort. Cells that do not fit an int64, or a box too large for the packed
 key, raise CellOutOfRange instead of wrapping around.
 
+``cell_means`` groups points by cell and averages each group.
+
 Rows of six 64-bit words (a descriptor's cells, a key point's position and
 normal) are hashed with ``mix_words``, and ``stable_argsort`` orders keys
 stably from one unstable sort.
@@ -66,6 +68,21 @@ def pack_cells(cells: np.ndarray) -> np.ndarray:
     """Packed int64 key of each cell of a non-empty (N, 3) cell array."""
     lo, dims = cell_box(cells)
     return pack_offsets(cells - lo, dims)
+
+
+def cell_means(points: np.ndarray, cells: np.ndarray):
+    """Group (N, 3) points by their (N, 3) cells, in ascending cell order.
+
+    Returns each point's group (N,), the points per group (G,) and the group
+    means (G, 3), each mean summed in input order (np.bincount).
+    """
+    keys, inverse = np.unique(pack_cells(cells), return_inverse=True)
+    n = len(keys)
+    counts = np.bincount(inverse, minlength=n)
+    sums = np.stack(
+        [np.bincount(inverse, weights=points[:, a], minlength=n) for a in range(3)], axis=1
+    )
+    return inverse, counts, sums / counts[:, None]
 
 
 def mix_words(words) -> np.ndarray:

@@ -22,7 +22,15 @@ from .errors import (
     TriloopError,
     UnsupportedFormat,
 )
-from .evaluation import pr_sweep, read_gt_csv, read_records_csv, run_sequence, write_pr_csv
+from .evaluation import (
+    DEFAULT_SWEEP_GRID,
+    pr_sweep,
+    read_gt_csv,
+    read_records_csv,
+    run_sequence,
+    write_pr_csv,
+)
+from .loop import MODES
 from .pipeline import PipelineConfig
 
 EXIT_OK = 0
@@ -55,14 +63,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", required=True, help="output PR csv path")
     sweep.add_argument(
         "--grid",
-        default="0.1:0.9:0.1",
-        help="sigma_pc grid as start:stop:step (inclusive)",
+        help="sigma_pc grid as start:stop:step (inclusive); default: the grid of a run's "
+        f"pr.csv, {', '.join(map(str, DEFAULT_SWEEP_GRID))}",
     )
     sweep.add_argument(
         "--mode",
-        choices=("first", "best"),
-        default="first",
-        help="candidate selection of the run: first passing, or best overlap",
+        choices=MODES,
+        default=PipelineConfig.mode,
+        help="candidate selection of the run (see select_loop): first passing, or best overlap",
     )
     return parser
 
@@ -99,7 +107,8 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     records = read_records_csv(args.records)
     gt = read_gt_csv(args.gt)
-    rows = pr_sweep(records, gt, grid=_parse_grid(args.grid), mode=args.mode)
+    grid = DEFAULT_SWEEP_GRID if args.grid is None else _parse_grid(args.grid)
+    rows = pr_sweep(records, gt, grid=grid, mode=args.mode)
     write_pr_csv(args.out, rows)
     print(f"{len(rows)} thresholds written to {args.out}")
     return EXIT_OK

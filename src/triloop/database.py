@@ -136,7 +136,6 @@ class DescriptorDatabase:
         self._frame_starts = np.zeros(1, dtype=np.int64)  # each frame's first row, then the end
         self._insertion_order: list[int] = []
         self._frames: dict[int, DescriptorFrame] = {}
-        self._descriptors_indexed = 0
         self._lock = threading.RLock()
         self._queried: _FrameKeys | None = None  # keys of the frame queried last
 
@@ -146,7 +145,7 @@ class DescriptorDatabase:
 
     @property
     def descriptors_indexed(self) -> int:
-        return self._descriptors_indexed
+        return int(self._frame_starts[-1])
 
     @property
     def nbytes(self) -> int:
@@ -178,7 +177,7 @@ class DescriptorDatabase:
         with self._lock:
             if frame_id in self._frames:
                 raise DuplicateFrame(f"frame {frame_id} already inserted")
-            start = self._descriptors_indexed
+            start = self.descriptors_indexed
             stop = start + len(frame)
             self._reserve(stop)
             self._cells[start:stop] = keys.cells
@@ -190,7 +189,6 @@ class DescriptorDatabase:
             self._frame_starts = np.append(self._frame_starts, stop)
             self._frames[frame_id] = frame
             self._insertion_order.append(frame_id)
-            self._descriptors_indexed = stop
 
     def _reserve(self, n_rows: int) -> None:
         capacity = len(self._index_rows)
@@ -223,7 +221,7 @@ class DescriptorDatabase:
         order, needles = keys.order, keys.sorted_buckets
         none = np.empty(0, dtype=np.int64)
         query, first, counts = [none], [none], [none]
-        bounds = self._segment_starts + [self._descriptors_indexed]
+        bounds = self._segment_starts + [self.descriptors_indexed]
         for start, stop in zip(bounds, bounds[1:]):
             if start >= below:  # segments hold ascending row ranges
                 break

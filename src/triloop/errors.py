@@ -22,7 +22,14 @@ class DegenerateInput(TriloopError, ValueError):
 
 
 class MalformedRecord(TriloopError):
-    """Binary scan file length is not a whole number of records."""
+    """A file does not hold what its format requires.
+
+    Raised for a binary scan whose length is not a whole number of records,
+    a pose line with neither 12 nor 8 values, and a descriptor snapshot with
+    bad magic, an unsupported version or invalid header values, a truncated
+    record, a NaN or infinite value, a frame id given twice, or bytes after
+    the last frame.
+    """
 
 
 class UnsupportedFormat(TriloopError):

@@ -122,38 +122,28 @@ class Correspondences3:
         return self.target.mean(axis=0)
 
 
-def _all_collinear(points: np.ndarray, tol: float = COLLINEARITY_TOL) -> bool:
-    """True if every point lies on one line, tested by normalized cross products."""
-    base = points[0]
-    direction = None
-    for p in points[1:]:
-        d = p - base
-        n = np.linalg.norm(d)
-        if n < tol:
-            continue
-        d = d / n
-        if direction is None:
-            direction = d
-            continue
-        if np.linalg.norm(np.cross(direction, d)) > tol:
-            return False
-    return True
-
-
 def _norms(vectors: np.ndarray) -> np.ndarray:
     """Euclidean norm over the last axis, bit-equal to np.linalg.norm of each
     1-D row (a stacked matmul takes the same dot-product path)."""
     return np.sqrt(vectors[..., None, :] @ vectors[..., :, None])[..., 0, 0]
 
 
-def collinear_triples(points: np.ndarray, tol: float = COLLINEARITY_TOL) -> np.ndarray:
-    """_all_collinear for each of k three-point sets (k, 3, 3), same arithmetic."""
-    d = points[:, 1:] - points[:, :1]  # offsets of points 1 and 2 from point 0
+def all_collinear(points: np.ndarray, tol: float = COLLINEARITY_TOL) -> np.ndarray:
+    """For each of k point sets (k, n, 3): True when every point lies on one line.
+
+    Each point's offset from the set's first point is normalized; offsets
+    shorter than tol are skipped, and the set is collinear unless the cross
+    product of some other unit offset with the first kept one is longer than
+    tol. A NaN offset is kept, and its cross products never exceed tol.
+    """
+    d = points[:, 1:] - points[:, :1]
     n = _norms(d)
     with np.errstate(divide="ignore", invalid="ignore"):
         u = d / n[..., None]
-    bent = _norms(np.cross(u[:, 0], u[:, 1])) > tol
-    return (n[:, 0] < tol) | (n[:, 1] < tol) | ~bent
+    kept = ~(n < tol)
+    direction = u[np.arange(len(u)), np.argmax(kept, axis=1)]  # first kept offset
+    bent = _norms(np.cross(direction[:, None], u)) > tol
+    return ~(kept & bent).any(axis=1)
 
 
 def solve_rigid_svd_batch(source: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -161,7 +151,7 @@ def solve_rigid_svd_batch(source: np.ndarray, target: np.ndarray) -> tuple[np.nd
 
     source and target are (k, n, 3); returns R (k, 3, 3) and t (k, 3), each
     bit-equal to solving its set alone. The caller drops degenerate sets
-    first (see collinear_triples). Raises ValueError, as RigidTransform
+    first (see all_collinear). Raises ValueError, as RigidTransform
     does, if any solution fails its checks.
     """
     qa = source.mean(axis=1)
@@ -188,7 +178,7 @@ def solve_rigid_svd(corr: Correspondences3) -> RigidTransform:
     """
     if len(corr) < 3:
         raise DegenerateInput(f"need at least 3 correspondences, got {len(corr)}")
-    if _all_collinear(corr.source):
+    if all_collinear(corr.source[None])[0]:
         raise DegenerateInput("source points are collinear; rotation is not unique")
     R, t = solve_rigid_svd_batch(corr.source[None], corr.target[None])
     return RigidTransform(R[0], t[0])
@@ -227,7 +217,8 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
 
 
 def nearest_rotation(m) -> np.ndarray:
-    """Project a near-rotation 3x3 matrix onto SO(3) (for file-sourced poses)."""
+    """Project a near-rotation 3x3 matrix onto SO(3) (file-sourced poses,
+    plane-ICP updates)."""
     U, _, Vt = np.linalg.svd(np.asarray(m, dtype=np.float64))
     d = np.sign(np.linalg.det(U @ Vt))
     return U @ np.diag([1.0, 1.0, d]) @ Vt

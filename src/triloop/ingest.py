@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cells import floor_cells, pack_cells
+from .cells import cell_means, floor_cells
 from .errors import EmptyInput, MalformedRecord, NonFiniteInput, NonPositiveLeaf, UnsupportedFormat
 from .geometry import RigidTransform, nearest_rotation, rotation_from_quaternion
 
@@ -172,8 +172,4 @@ def voxel_downsample(cloud, leaf: float) -> np.ndarray:
     pts = np.asarray(cloud, dtype=np.float64)
     if len(pts) == 0:
         raise EmptyInput("cannot downsample an empty cloud")
-    uniq, inverse = np.unique(pack_cells(floor_cells(pts, leaf)), return_inverse=True)
-    n = len(uniq)
-    sums = np.stack([np.bincount(inverse, weights=pts[:, a], minlength=n) for a in range(3)], axis=1)
-    counts = np.bincount(inverse, minlength=n)
-    return sums / counts[:, None]
+    return cell_means(pts, floor_cells(pts, leaf))[2]

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveLeaf
-from .planes import PlaneSet, VoxelMap
+from .geometry import _norms
+from .planes import PlaneSet, VoxelMap, _offsets
 
 NMS_RADIUS = 2  # 5x5 neighborhood
 
@@ -85,9 +86,7 @@ def _plane_axes(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """In-plane axes (P, 3), (P, 3) of P unit normals.
 
     Each row is computed as the one-normal formula: with axis the one-hot
-    vector, axis - (axis @ u) * u, divided by its norm sqrt(e1 @ e1) (a
-    stacked matmul forms that dot like the 1-D product), and u x e1 written
-    out with the products and differences of np.cross.
+    vector, e1 = axis - (axis @ u) * u over its norm and e2 = u x e1.
     """
     u = normals
     rows = np.arange(len(u))
@@ -96,13 +95,8 @@ def _plane_axes(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     axis[rows, least] = 1.0
     # axis @ u is exactly u[least]: the other terms are signed zeros
     e1 = axis - u[rows, least][:, None] * u
-    e1 /= np.sqrt((e1[:, None, :] @ e1[:, :, None])[:, 0])
-    e2 = np.stack([
-        u[:, 1] * e1[:, 2] - u[:, 2] * e1[:, 1],
-        u[:, 2] * e1[:, 0] - u[:, 0] * e1[:, 2],
-        u[:, 0] * e1[:, 1] - u[:, 1] * e1[:, 0],
-    ], axis=1)
-    return e1, e2
+    e1 /= _norms(e1)[:, None]
+    return e1, np.cross(u, e1)
 
 
 def _boundary_points(planes: PlaneSet, voxmap: VoxelMap) -> tuple[np.ndarray, np.ndarray]:
@@ -111,7 +105,7 @@ def _boundary_points(planes: PlaneSet, voxmap: VoxelMap) -> tuple[np.ndarray, np
     bounds[p]:bounds[p + 1]."""
     rows = planes.boundary_rows
     sizes = voxmap.offsets[rows + 1] - voxmap.offsets[rows]
-    bounds = np.concatenate([[0], np.cumsum(sizes)])[planes.boundary_offsets]
+    bounds = _offsets(sizes)[planes.boundary_offsets]
     return voxmap.points_of(rows), bounds
 
 

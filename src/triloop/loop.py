@@ -10,7 +10,6 @@ threshold.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
@@ -30,7 +29,9 @@ from .geometry import (
     ORTHONORMALITY_TOL,
     Correspondences3,
     RigidTransform,
-    collinear_triples,
+    all_collinear,
+    nearest_rotation,
+    rotation_about_axis,
     solve_rigid_svd,
     solve_rigid_svd_batch,
 )
@@ -86,7 +87,7 @@ def ransac_transform(
 
     picks = rng.integers(len(pairs), size=max(iterations, 0))
     samples = query.positions[src_ids[picks]]
-    solid = ~collinear_triples(samples)  # degenerate samples are skipped
+    solid = ~all_collinear(samples)  # degenerate samples are skipped
     if solid.any():
         R, t = solve_rigid_svd_batch(samples[solid], stored.positions[dst_ids[picks[solid]]])
         src, dst, links = _correspondences(query.positions, stored.positions, src_ids, dst_ids)
@@ -344,7 +345,7 @@ def plane_icp(
         J[n_pairs * 3 :, 0:3] = np.cross(rotated_centers, tgt_n) / sigma_d
         J[n_pairs * 3 :, 3:6] = tgt_n / sigma_d
 
-        current_cost = float(np.sum(rn * rn) + np.sum(rd * rd))
+        current_cost = cost(T, mask, nearest, signs)
         step_taken = False
         for _ in range(8):
             H = J.T @ J + damping * np.eye(6)
@@ -382,25 +383,9 @@ def _skew_batch(vectors: np.ndarray) -> np.ndarray:
 
 
 def _apply_perturbation(T: RigidTransform, delta: np.ndarray) -> RigidTransform:
-    """Left-multiplicative update: (Exp(dw) R, t + dt)."""
-    dw = delta[0:3]
-    dt = delta[3:6]
+    """Left-multiplicative update: (Exp(dw) R, t + dt), the rotation projected
+    back onto SO(3) to keep it valid over many iterations."""
+    dw, dt = delta[0:3], delta[3:6]
     angle = float(np.linalg.norm(dw))
-    if angle < 1e-14:
-        dR = np.eye(3)
-    else:
-        axis = dw / angle
-        K = np.array(
-            [
-                [0.0, -axis[2], axis[1]],
-                [axis[2], 0.0, -axis[0]],
-                [-axis[1], axis[0], 0.0],
-            ]
-        )
-        dR = np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
-    # re-orthonormalize to keep the rotation valid over many iterations
-    R = dR @ T.R
-    U, _, Vt = np.linalg.svd(R)
-    d = np.sign(np.linalg.det(U @ Vt))
-    R = U @ np.diag([1.0, 1.0, d]) @ Vt
-    return RigidTransform(R, T.t + dt)
+    dR = np.eye(3) if angle < 1e-14 else rotation_about_axis(dw, angle)
+    return RigidTransform(nearest_rotation(dR @ T.R), T.t + dt)

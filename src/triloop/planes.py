@@ -19,7 +19,7 @@ from itertools import chain
 
 import numpy as np
 
-from .cells import cell_box, floor_cells, pack_cells, pack_offsets
+from .cells import cell_box, cell_means, floor_cells, pack_offsets
 from .errors import EmptyInput, NonPositiveLeaf
 
 MIN_VOXEL_POINTS = 10  # covariance of fewer points is too unstable to classify
@@ -74,14 +74,8 @@ class VoxelMap:
         two-pass, centered on each voxel's mean, to avoid cancellation far
         from the origin.
         """
-        keys, inverse = np.unique(pack_cells(cells), return_inverse=True)
-        n = len(keys)
-        counts = np.bincount(inverse, minlength=n)
-        sums = np.stack(
-            [np.bincount(inverse, weights=points[:, a], minlength=n) for a in range(3)], axis=1
-        )
-        means = sums / counts[:, None]
-
+        inverse, counts, means = cell_means(points, cells)
+        n = len(counts)
         centered = points - means[inverse]
         cov_sums = np.empty((n, 3, 3))
         for i, j in _UPPER:
@@ -99,7 +93,7 @@ class VoxelMap:
             normals[eligible] = canonical_normals(v[:, :, 0])
 
         order = np.argsort(inverse, kind="stable")
-        offsets = np.concatenate([[0], np.cumsum(counts)])
+        offsets = _offsets(counts)
         return cls(
             cells=cells[order[offsets[:-1]]],
             counts=counts,

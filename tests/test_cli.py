@@ -151,6 +151,13 @@ class TestSweep:
         lines = out_csv.read_text().splitlines()
         assert lines[0] == "sigma_pc,tp,fp,fn,precision,recall"
         assert len(lines) == 1 + 19
+        # without --grid, the sweep is the one the run wrote
+        code = main(
+            ["sweep", "--records", str(out_dir / "records.csv"),
+             "--gt", str(out_dir / "gt.csv"), "--out", str(out_csv)]
+        )
+        assert code == 0
+        assert out_csv.read_bytes() == (out_dir / "pr.csv").read_bytes()
 
     def test_sweep_mode_selects_like_the_run(self, tmp_path):
         # query 10: the first passing candidate (3) is no loop, the one with

@@ -83,6 +83,8 @@ class TestMatchesReference:
         for leaf in (0.25, 0.3):
             got = voxel_downsample(cloud, leaf)
             assert np.array_equal(got, scalar_downsample(cloud, leaf))
+            # one cell-means rule: the voxel map's means are the same bits
+            assert got.tobytes() == build_voxel_map(cloud, leaf).means.tobytes()
 
     def test_voxel_map_and_classify(self, seed, offset):
         cloud = voxel_downsample(random_scene(seed, offset), 0.25)

@@ -3,10 +3,10 @@ import pytest
 
 from triloop.errors import DegenerateInput
 from triloop.geometry import (
+    COLLINEARITY_TOL,
     Correspondences3,
     RigidTransform,
-    _all_collinear,
-    collinear_triples,
+    all_collinear,
     random_rotation,
     rotation_about_axis,
     rotation_angle_deg,
@@ -66,17 +66,47 @@ def test_rejects_collinear_sources():
         solve_rigid_svd(Correspondences3(src, src))
 
 
+def scalar_all_collinear(points, tol=COLLINEARITY_TOL) -> bool:
+    """Reference: True if every point lies on one line, tested by normalized
+    cross products, one point after another."""
+    base = points[0]
+    direction = None
+    for p in points[1:]:
+        d = p - base
+        n = np.linalg.norm(d)
+        if n < tol:
+            continue
+        d = d / n
+        if direction is None:
+            direction = d
+            continue
+        if np.linalg.norm(np.cross(direction, d)) > tol:
+            return False
+    return True
+
+
 def test_collinear_triples_match_scalar_rule():
     rng = np.random.default_rng(11)
-    tris = rng.uniform(-20, 20, size=(300, 3, 3))
-    tris[:40, 2] = tris[:40, 0] + rng.uniform(-3, 3, size=(40, 1)) * (tris[:40, 1] - tris[:40, 0])
-    tris[40:60, 1] = tris[40:60, 0]
-    tris[60:70] = tris[60:70, :1]
-    tris[70:80, 2] = tris[70:80, 1] + 1e-10  # points 1 and 2 coincide within tolerance
-    tris[80:90, 0, 0] = np.nan
-    expected = [_all_collinear(t) for t in tris]
-    assert collinear_triples(tris).tolist() == expected
-    assert 0 < sum(expected) < len(tris)
+    for n in range(3, 9):
+        sets = rng.uniform(-20, 20, size=(300, n, 3))
+        # exactly collinear: every point on the line through points 0 and 1
+        sets[:40, 2:] = sets[:40, :1] + rng.uniform(-3, 3, size=(40, n - 2, 1)) * (
+            sets[:40, 1:2] - sets[:40, :1])
+        sets[40:60, 1] = sets[40:60, 0]  # a repeated base point
+        sets[60:70] = sets[60:70, :1]  # all points equal
+        sets[70:80, -1] = sets[70:80, -2] + 1e-10  # the last two coincide within tolerance
+        sets[80:90, 0, 0] = np.nan
+        sets[90:100, n - 1, 1] = np.nan
+        sets[120:130, 1, 2] = np.nan  # a NaN first offset: kept, so nothing is bent
+        sets[130:140] = sets[:10]  # collinear once an offset within tolerance is skipped
+        sets[130:140, 1] = sets[130:140, 0] + 1e-10 * rng.normal(size=(10, 3))
+        # collinear but for one point, and collinear once a repeated base is skipped
+        sets[100:120] = sets[:20]
+        sets[100:110, -1] += 1.0
+        sets[110:120, 1] = sets[110:120, 0]
+        expected = [scalar_all_collinear(s) for s in sets]
+        assert all_collinear(sets).tolist() == expected, n
+        assert 0 < sum(expected) < len(sets)
 
 
 def scalar_kabsch(src, dst):

@@ -9,7 +9,6 @@ from triloop.descriptors import DescriptorFrame, DescriptorPairs, TriangleDescri
 from triloop.errors import EmptyPlaneList, InsufficientOverlap, NoValidTransform
 from triloop.geometry import (
     RigidTransform,
-    _all_collinear,
     random_rotation,
     rotation_about_axis,
     rotation_angle_deg,
@@ -32,7 +31,7 @@ from triloop.pipeline import FrameExtraction, MatchingSession, PipelineConfig
 from plane_sets import plane_set
 from scalar_descriptors import stack_frame, stack_pairs
 from test_database import synth_descriptor, transformed
-from test_geometry import scalar_kabsch
+from test_geometry import scalar_all_collinear, scalar_kabsch
 
 
 def place_randomly(rng, d: TriangleDescriptor) -> TriangleDescriptor:
@@ -131,7 +130,7 @@ def scalar_ransac(pairs, iterations=100, inlier_tol=0.5, rng=None):
     best_mask = None
     for _ in range(iterations):
         pick = int(rng.integers(len(pairs)))
-        if _all_collinear(src_tris[pick]):
+        if scalar_all_collinear(src_tris[pick]):
             continue
         R, t = scalar_kabsch(src_tris[pick], dst_tris[pick])
         moved = src_tris @ R.T + t

@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""sha256 of the byte-stable outputs of the loop_replay sequences.
+
+Run from the root of a checkout:
+
+    python3 tools/output_digests.py --seeds 0-9
+
+For each seed, every sequence that ``perfbench/loop_replay.py`` replays at
+that seed (same yard, path and config, imported from there) is written to a
+temporary directory and run once through ``evaluation.run_sequence``. One
+line per sequence gives the sha256 of its ``records.csv``, ``gt.csv`` and
+``pr.csv``, so running the same command in two checkouts and comparing the
+lines shows whether a change keeps those outputs byte for byte. triloop is
+imported from the checkout's ``src/``.
+"""
+
+import os
+
+# One BLAS thread, as in the benchmark, before numpy is first imported.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import shutil  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import loop_replay  # noqa: E402
+from triloop import evaluation, pipeline, synthetic  # noqa: E402
+from worlds import fixed_boxes  # noqa: E402
+
+
+def _seeds(spec: str) -> range:
+    first, _, last = spec.partition("-")
+    try:
+        lo, hi = int(first), int(last or first)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected A-B or A, got {spec!r}") from None
+    if hi < lo:
+        raise argparse.ArgumentTypeError(f"empty seed range {spec!r}")
+    return range(lo, hi + 1)
+
+
+def sequence_digests(seed: int, work: Path):
+    """(sequence, {output name: sha256}) of each loop_replay sequence of one seed."""
+    poses = synthetic.out_and_back_poses(**loop_replay.PATH)
+    boxes = fixed_boxes(loop_replay.EXTENT, loop_replay.N_BOXES)
+    cfg = pipeline.PipelineConfig(seed=seed, **loop_replay.CONFIG)
+    for k in range(loop_replay.SEQUENCES):
+        world = synthetic.box_and_wall_world(
+            seed=seed * loop_replay.SEQUENCES + k, extent=loop_replay.EXTENT, boxes=boxes)
+        base = work / f"seed{seed}_seq{k}"
+        sequence = synthetic.write_sequence(base, world, poses, max_range=loop_replay.MAX_RANGE)
+        evaluation.run_sequence(cfg, *sequence, out_dir=base / "out")
+        hashes = loop_replay.output_hashes(base / "out")
+        shutil.rmtree(base)
+        yield k, hashes
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=_seeds, default=_seeds("0"),
+                        help="workload seeds as A-B (inclusive) or A (default 0)")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in args.seeds:
+            for k, hashes in sequence_digests(seed, Path(tmp)):
+                print(f"seed {seed} seq {k} "
+                      + " ".join(f"{name}={digest}" for name, digest in hashes.items()),
+                      flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
