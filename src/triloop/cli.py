@@ -4,12 +4,14 @@
     triloop sweep --records results/records.csv --gt results/gt.csv --out pr.csv
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error (unreadable,
-truncated, empty or out-of-range scan input).
+truncated, empty or out-of-range scan input, or a malformed pose, PCD or CSV
+row).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .errors import (
@@ -75,13 +77,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+MAX_GRID_POINTS = 100_000
+
+
 def _parse_grid(spec: str) -> list[float]:
     try:
         start, stop, step = (float(v) for v in spec.split(":"))
     except ValueError:
         raise ConfigError(f"bad grid spec {spec!r}, expected start:stop:step") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigError(f"bad grid spec {spec!r}, start, stop and step must be finite")
     if step <= 0 or stop < start:
         raise ConfigError(f"bad grid spec {spec!r}")
+    if start + step == start or (stop - start) / step > MAX_GRID_POINTS:
+        raise ConfigError(f"bad grid spec {spec!r}, more than {MAX_GRID_POINTS} points")
     grid = []
     value = start
     while value <= stop + 1e-12:

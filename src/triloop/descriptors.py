@@ -32,6 +32,8 @@ MIN_SIDE_LENGTH = 0.5      # meters; smaller triangles jitter too much
 DEGENERATE_SLACK = 0.1     # meters of triangle-inequality slack required
 DEDUP_RESOLUTION = 0.01    # meters; side triples equal at this grid are duplicates
 
+_ORDERS = np.array(list(permutations(range(3))))  # the six vertex orders, lexicographic
+
 
 @dataclass(frozen=True)
 class TriangleDescriptor:
@@ -229,29 +231,6 @@ class DescriptorPairs:
         return zip(self.query, self.stored)
 
 
-def _canonical_order(pts: np.ndarray) -> tuple[int, int, int]:
-    """Vertex permutation giving ascending sides, ties broken lexicographically."""
-    d = {
-        (0, 1): float(np.linalg.norm(pts[0] - pts[1])),
-        (0, 2): float(np.linalg.norm(pts[0] - pts[2])),
-        (1, 2): float(np.linalg.norm(pts[1] - pts[2])),
-    }
-
-    def side(i: int, j: int) -> float:
-        return d[(i, j) if i < j else (j, i)]
-
-    best = None
-    best_key = None
-    for perm in permutations((0, 1, 2)):
-        a, b, c = perm
-        if not (side(a, b) <= side(b, c) <= side(a, c)):
-            continue
-        key = (tuple(pts[a]), tuple(pts[b]), tuple(pts[c]))
-        if best_key is None or key < best_key:
-            best, best_key = perm, key
-    return best
-
-
 def build_descriptors(
     keypoints: list[KeyPoint],
     k_neighbors: int = 20,
@@ -269,7 +248,12 @@ def build_descriptors(
     When several points tie at the k-th distance, the ones kept are the
     tree's choice, not the lowest indices: on 30 integer-lattice points with
     k=20 this gives 331 descriptors where index-order ties would give 327.
+
+    Raises ValueError for a negative or NaN degenerate_slack: a slack >= 0
+    drops every triangle with a repeated point (sides 0, l, l).
     """
+    if not degenerate_slack >= 0:
+        raise ValueError(f"degenerate_slack must be >= 0, got {degenerate_slack}")
     if len(keypoints) < 3:
         log.warning("frame %d: %d key points, need 3 for descriptors", frame_id, len(keypoints))
         return DescriptorFrame.empty(frame_id)
@@ -314,16 +298,21 @@ def build_descriptors(
     run_starts = np.flatnonzero(np.diff(key[by_key], prepend=-1))
     unique = np.sort(np.minimum.reduceat(by_key, run_starts))
     first, lengths = keep[unique], lengths[unique]
-    idx = np.stack([anchor[first], first_nbr[first], second_nbr[first]], axis=1)
-    raw = [col[first] for col in raw]
 
-    # p1 is the vertex shared by the smallest and largest sides; exact ties
-    # fall back to the permutation scan
-    perm = _PERM_TABLE[_first_extreme(raw, np.less_equal), _first_extreme(raw, np.greater_equal)]
-    tied = (lengths[:, 0] == lengths[:, 1]) | (lengths[:, 1] == lengths[:, 2])
-    for row in np.flatnonzero(tied):
-        perm[row] = _canonical_order(positions[idx[row]])
-    vertex_ids = np.take_along_axis(idx, perm, axis=1)
+    # vertex order: the three key-point ids sorted (first_nbr < second_nbr
+    # already), then the first of the six orders whose sides come out
+    # ascending. Ids follow position order and a kept triangle's vertices are
+    # distinct points, so tied sides go to the smallest coordinates first.
+    anchor, first_nbr, second_nbr = anchor[first], first_nbr[first], second_nbr[first]
+    ids = np.stack([np.minimum(anchor, first_nbr),
+                    np.minimum(np.maximum(anchor, first_nbr), second_nbr),
+                    np.maximum(anchor, second_nbr)], axis=1)
+    # order (a, b, c) has sides |ab|, |bc|, |ac|: those opposite c, a and b,
+    # so it is ascending when opposite[c] <= opposite[a] <= opposite[b]
+    opposite = (dist[ids[:, 1], ids[:, 2]], dist[ids[:, 0], ids[:, 2]], dist[ids[:, 0], ids[:, 1]])
+    at_most = {(x, y): opposite[x] <= opposite[y] for x, y in permutations(range(3), 2)}
+    ascending = [at_most[c, a] & at_most[a, b] for a, b, c in permutations(range(3))]
+    vertex_ids = np.take_along_axis(ids, _ORDERS[np.argmax(ascending, axis=0)], axis=1)
 
     # sort by side triple; deduplication left no two rows with equal sides,
     # so the vertex coordinates never break a tie
@@ -360,13 +349,6 @@ def side_order(lengths: np.ndarray) -> np.ndarray:
                           | ranks[:, 2])
 
 
-def _first_extreme(columns, at_least_as) -> np.ndarray:
-    """Per row, the first of three columns holding the row's extreme, like
-    np.argmin (at_least_as=np.less_equal) or np.argmax (np.greater_equal)."""
-    a, b, c = columns
-    return np.where(at_least_as(a, b) & at_least_as(a, c), 0, np.where(at_least_as(b, c), 1, 2))
-
-
 def _distance_matrix(positions: np.ndarray) -> np.ndarray:
     """(m, m) Euclidean distances between m points, each the square root of
     the left-to-right sum of squared coordinate differences: bit for bit
@@ -374,16 +356,3 @@ def _distance_matrix(positions: np.ndarray) -> np.ndarray:
     d = positions[:, None, :] - positions[None, :, :]
     d *= d
     return np.sqrt(d[..., 0] + d[..., 1] + d[..., 2])
-
-
-# local vertex order (of [anchor, i, j]) indexed by (smallest side, largest
-# side); sides are 0:{anchor,i} 1:{i,j} 2:{anchor,j}; rows with equal indices
-# are never looked up for untied sides
-_PERM_TABLE = np.zeros((3, 3, 3), dtype=np.int64)
-_PERM_TABLE[0, 1] = (1, 0, 2)
-_PERM_TABLE[0, 2] = (0, 1, 2)
-_PERM_TABLE[1, 0] = (1, 2, 0)
-_PERM_TABLE[1, 2] = (2, 1, 0)
-_PERM_TABLE[2, 0] = (0, 2, 1)
-_PERM_TABLE[2, 1] = (2, 0, 1)
-_PERM_TABLE.setflags(write=False)

@@ -10,7 +10,8 @@ class EmptyInput(TriloopError, ValueError):
 
 
 class NonFiniteInput(TriloopError, ValueError):
-    """Input points contain NaN or infinite coordinates."""
+    """Input points contain NaN or infinite coordinates: a scan's points, or
+    the source or target points of a Correspondences3."""
 
 
 class CellOutOfRange(TriloopError, ValueError):
@@ -24,9 +25,13 @@ class DegenerateInput(TriloopError, ValueError):
 class MalformedRecord(TriloopError):
     """A file does not hold what its format requires.
 
-    Raised for a binary scan whose length is not a whole number of records,
-    a pose line with neither 12 nor 8 values, and a descriptor snapshot with
-    bad magic, an unsupported version or invalid header values, a truncated
+    Raised for a binary scan whose length is not a whole number of records;
+    for these text rows, naming ``path:line``: a pose line with neither 12
+    nor 8 values, a non-number, a NaN or infinite value or a zero
+    quaternion, an ASCII PCD data row with a missing field or a non-number,
+    a ``records.csv`` row with too few fields or a non-number, and a
+    ``gt.csv`` row with a non-number; and for a descriptor snapshot with bad
+    magic, an unsupported version or invalid header values, a truncated
     record, a NaN or infinite value, a frame id given twice, or bytes after
     the last frame.
     """

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NoGroundTruth
+from .errors import ConfigError, MalformedRecord, NoGroundTruth
 from .geometry import RigidTransform, rotation_angle_deg
 from .ingest import Scan, accumulate_keyframe, read_kitti_bin, read_pcd_ascii, read_poses
 from .loop import select_loop
@@ -273,27 +273,33 @@ def write_records_csv(path, records: list[EvalRecord]) -> None:
 
 
 def read_records_csv(path) -> list[EvalRecord]:
+    """The records of a ``records.csv``; a row with too few fields or a
+    non-number where one belongs raises MalformedRecord."""
     lines = Path(path).read_text().splitlines()
     records = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        cands = []
-        if parts[6]:
-            for chunk in parts[6].split(";"):
-                fid, votes, overlap = chunk.split(":")
-                cands.append(CandidateScoreRow(int(fid), int(votes), float(overlap)))
-        records.append(
-            EvalRecord(
-                query_id=int(parts[0]),
-                detected_id=int(parts[1]) if parts[1] else None,
-                overlap=float(parts[2]),
-                votes=int(parts[3]),
-                rot_err_deg=float(parts[4]) if parts[4] else None,
-                trans_err_m=float(parts[5]) if parts[5] else None,
-                candidates=cands,
-            )
-        )
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            records.append(_parse_record(line.split(",")))
+        except (IndexError, ValueError):
+            raise MalformedRecord(f"{path}:{lineno}: bad records row {line!r}") from None
     return records
+
+
+def _parse_record(parts: list[str]) -> EvalRecord:
+    cands = []
+    if parts[6]:
+        for chunk in parts[6].split(";"):
+            fid, votes, overlap = chunk.split(":")
+            cands.append(CandidateScoreRow(int(fid), int(votes), float(overlap)))
+    return EvalRecord(
+        query_id=int(parts[0]),
+        detected_id=int(parts[1]) if parts[1] else None,
+        overlap=float(parts[2]),
+        votes=int(parts[3]),
+        rot_err_deg=float(parts[4]) if parts[4] else None,
+        trans_err_m=float(parts[5]) if parts[5] else None,
+        candidates=cands,
+    )
 
 
 def write_timings_csv(path, records: list[EvalRecord]) -> None:
@@ -316,9 +322,12 @@ def write_gt_csv(path, gt: dict[int, list[int]]) -> None:
 def read_gt_csv(path) -> dict[int, list[int]]:
     lines = Path(path).read_text().splitlines()
     gt: dict[int, list[int]] = {}
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         q, _, ids = line.partition(",")
-        gt[int(q)] = [int(i) for i in ids.split(";") if i]
+        try:
+            gt[int(q)] = [int(i) for i in ids.split(";") if i]
+        except ValueError:
+            raise MalformedRecord(f"{path}:{lineno}: bad ground-truth row {line!r}") from None
     return gt
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput
+from .errors import DegenerateInput, NonFiniteInput
 
 ORTHONORMALITY_TOL = 1e-9
 COLLINEARITY_TOL = 1e-9
@@ -95,7 +95,11 @@ class RigidTransform:
 
 @dataclass(frozen=True)
 class Correspondences3:
-    """Paired source/target points for rigid alignment, equal length >= 3."""
+    """Paired source/target points for rigid alignment, equal length >= 3.
+
+    Raises NonFiniteInput when a source or target point holds a NaN or an
+    infinite coordinate, ValueError on a length mismatch.
+    """
 
     source: np.ndarray
     target: np.ndarray
@@ -105,6 +109,9 @@ class Correspondences3:
         dst = _as_points(self.target).copy()
         if len(src) != len(dst):
             raise ValueError(f"length mismatch: {len(src)} source vs {len(dst)} target")
+        for name, pts in (("source", src), ("target", dst)):
+            if not np.isfinite(pts).all():
+                raise NonFiniteInput(f"{name} points hold NaN or infinite coordinates")
         src.setflags(write=False)
         dst.setflags(write=False)
         object.__setattr__(self, "source", src)

@@ -93,11 +93,17 @@ def read_pcd_ascii(path) -> np.ndarray:
         raise UnsupportedFormat(f"{path}: PCD header lacks x/y/z fields") from None
 
     points = []
-    for line in lines[data_start:]:
+    for lineno, line in enumerate(lines[data_start:], start=data_start + 1):
         parts = line.split()
         if not parts:
             continue
-        xyz = (float(parts[ix]), float(parts[iy]), float(parts[iz]))
+        try:
+            xyz = (float(parts[ix]), float(parts[iy]), float(parts[iz]))
+        except (IndexError, ValueError):
+            raise MalformedRecord(
+                f"{path}:{lineno}: expected numbers in the x, y, z fields "
+                f"(columns {ix + 1}, {iy + 1}, {iz + 1}), got {line!r}"
+            ) from None
         if any(np.isnan(v) for v in xyz):
             continue
         points.append(xyz)
@@ -120,25 +126,34 @@ def read_poses(path) -> list[RigidTransform]:
     """Read sensor-to-world poses, one line per scan.
 
     Accepts 12 floats (row-major 3x4) or 8 floats (timestamp tx ty tz qx qy qz
-    qw). File-sourced rotations are projected onto SO(3) before validation.
+    qw). File-sourced rotations are projected onto SO(3) before validation. A
+    line with another count, a non-number, a NaN or infinite value or a zero
+    quaternion raises MalformedRecord.
     """
     poses = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         token = line.split("#", 1)[0].strip()
         if not token:
             continue
-        vals = [float(v) for v in token.split()]
-        if len(vals) == 12:
-            m = np.array(vals).reshape(3, 4)
-            R, t = m[:, :3], m[:, 3]
-        elif len(vals) == 8:
-            _, tx, ty, tz, qx, qy, qz, qw = vals
-            R = rotation_from_quaternion(qx, qy, qz, qw)
-            t = np.array([tx, ty, tz])
-        else:
-            raise MalformedRecord(f"{path}:{lineno}: expected 12 or 8 values, got {len(vals)}")
-        poses.append(RigidTransform(nearest_rotation(R), t))
+        try:
+            poses.append(_parse_pose(token.split()))
+        except ValueError as exc:
+            raise MalformedRecord(f"{path}:{lineno}: {exc}") from None
     return poses
+
+
+def _parse_pose(fields: list[str]) -> RigidTransform:
+    vals = [float(v) for v in fields]
+    if len(vals) == 12:
+        m = np.array(vals).reshape(3, 4)
+        R, t = m[:, :3], m[:, 3]
+    elif len(vals) == 8:
+        _, tx, ty, tz, qx, qy, qz, qw = vals
+        R = rotation_from_quaternion(qx, qy, qz, qw)
+        t = np.array([tx, ty, tz])
+    else:
+        raise ValueError(f"expected 12 or 8 values, got {len(vals)}")
+    return RigidTransform(nearest_rotation(R), t)
 
 
 def accumulate_keyframe(scans: list[Scan], keyframe_id: int = 0) -> Keyframe:

@@ -65,6 +65,8 @@ class PipelineConfig:
             raise ConfigError(f"mode must be one of {', '.join(MODES)}; got {self.mode!r}")
         if self.max_keypoints < 0:
             raise ConfigError(f"max_keypoints must be >= 0; got {self.max_keypoints}")
+        if not self.degenerate_slack >= 0:
+            raise ConfigError(f"degenerate_slack must be >= 0; got {self.degenerate_slack}")
         if self.connectivity not in (6, 26):
             raise ConfigError(f"connectivity must be 6 or 26; got {self.connectivity}")
 

@@ -6,6 +6,7 @@ import pytest
 
 from triloop.cli import EXIT_CONFIG, main
 from triloop.evaluation import read_records_csv
+from triloop.ingest import read_kitti_bin, write_pcd_ascii
 from triloop.loop import select_loop
 from triloop.pipeline import PipelineConfig
 from triloop.synthetic import write_sequence, yaw_pose
@@ -184,13 +185,47 @@ class TestSweep:
             assert out_csv.read_text().splitlines()[1:] == rows, mode
 
     def test_bad_grid_is_config_error(self, loop_run):
+        # a step that vanishes against the start, or too many points, used to
+        # loop or grow the grid without bound
         base, _, _, _, out_dir = loop_run
-        code = main(
-            ["sweep", "--records", str(out_dir / "records.csv"),
-             "--gt", str(out_dir / "gt.csv"), "--out", str(base / "x.csv"),
-             "--grid", "zebra"]
-        )
-        assert code == 2
+        for grid in ("zebra", "1e20:2e20:1", "0:1e20:1"):
+            code = main(
+                ["sweep", "--records", str(out_dir / "records.csv"),
+                 "--gt", str(out_dir / "gt.csv"), "--out", str(base / "x.csv"),
+                 "--grid", grid]
+            )
+            assert code == 2, grid
+            assert not (base / "x.csv").exists()
+
+    def test_non_finite_grid_is_config_error(self, loop_run, capsys):
+        # an infinite stop or step used to grow the grid without bound, a NaN
+        # to give an empty grid or the start alone
+        base, _, _, _, out_dir = loop_run
+        for grid in ("0.1:inf:0.1", "nan:0.9:0.1", "0.1:nan:0.1", "0.1:0.9:nan",
+                     "-inf:0.9:0.1", "0.1:0.9:inf"):
+            out_csv = base / "nonfinite.csv"
+            code = main(
+                ["sweep", "--records", str(out_dir / "records.csv"),
+                 "--gt", str(out_dir / "gt.csv"), "--out", str(out_csv), f"--grid={grid}"]
+            )
+            assert code == EXIT_CONFIG, grid
+            assert "finite" in capsys.readouterr().err, grid
+            assert not out_csv.exists()
+
+    def test_malformed_records_row_is_io_error(self, loop_run, tmp_path, capsys):
+        _, _, _, _, out_dir = loop_run
+        lines = (out_dir / "records.csv").read_text().splitlines()
+        fields = lines[2].split(",")
+        # too few fields, then a non-number in the votes column
+        for row in (",".join(fields[:4]), ",".join(fields[:3] + ["many"] + fields[4:])):
+            records = tmp_path / "records.csv"
+            records.write_text("\n".join(lines[:2] + [row] + lines[3:]) + "\n")
+            code = main(
+                ["sweep", "--records", str(records), "--gt", str(out_dir / "gt.csv"),
+                 "--out", str(tmp_path / "pr.csv")]
+            )
+            assert code == 3, row
+            assert "records.csv:3: " in capsys.readouterr().err, row
 
 
 class TestExitCodes:
@@ -241,6 +276,20 @@ class TestExitCodes:
         assert code == 2
         assert not (tmp_path / "out").exists()
 
+    def test_negative_or_nan_degenerate_slack_is_config_error(self, tmp_path, world):
+        poses = [yaw_pose(6.0 + i, 9.0, 1.5, 0.0) for i in range(3)]
+        scan_dir, pose_file = write_sequence(tmp_path, world, poses)
+        for value in ("-0.1", "nan"):
+            cfg_path = tmp_path / "run.cfg"
+            write_config(cfg_path)
+            cfg_path.write_text(cfg_path.read_text() + f"degenerate_slack = {value}\n")
+            code = main(
+                ["run", "--config", str(cfg_path), "--scans", str(scan_dir),
+                 "--poses", str(pose_file), "--out", str(tmp_path / "out")]
+            )
+            assert code == EXIT_CONFIG, value
+            assert not (tmp_path / "out").exists()
+
     def test_bad_connectivity_is_config_error(self, tmp_path, world):
         cfg_path = tmp_path / "run.cfg"
         write_config(cfg_path)
@@ -286,6 +335,37 @@ class TestExitCodes:
         )
         assert code == 3
         assert "int64" in capsys.readouterr().err
+
+    def test_non_numeric_pose_is_io_error(self, tmp_path, world, capsys):
+        poses = [yaw_pose(6.0 + i, 9.0, 1.5, 0.0) for i in range(3)]
+        scan_dir, pose_file = write_sequence(tmp_path, world, poses)
+        lines = pose_file.read_text().splitlines()
+        lines[1] = lines[1].replace(lines[1].split()[3], "east", 1)
+        pose_file.write_text("\n".join(lines) + "\n")
+        code = main(
+            ["run", "--scans", str(scan_dir), "--poses", str(pose_file),
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 3
+        assert f"{pose_file.name}:2: " in capsys.readouterr().err
+
+    def test_malformed_pcd_row_is_io_error(self, tmp_path, world, capsys):
+        poses = [yaw_pose(6.0 + i, 9.0, 1.5, 0.0) for i in range(3)]
+        scan_dir, pose_file = write_sequence(tmp_path, world, poses)
+        scan = scan_dir / "000001.bin"
+        points = read_kitti_bin(scan)
+        scan.unlink()
+        pcd = scan_dir / "000001.pcd"
+        for row in ("1.0 2.0", "1.0 two 3.0"):  # a missing field, a non-number
+            write_pcd_ascii(pcd, points)
+            pcd.write_text(pcd.read_text() + row + "\n")
+            code = main(
+                ["run", "--scans", str(scan_dir), "--poses", str(pose_file),
+                 "--out", str(tmp_path / "out")]
+            )
+            assert code == 3, row
+            # an 11-line header, then one line per point, then the bad row
+            assert f"000001.pcd:{11 + len(points) + 1}: " in capsys.readouterr().err, row
 
     def test_empty_scan_file_is_io_error(self, tmp_path, world):
         poses = [yaw_pose(6.0 + i, 9.0, 1.5, 0.0) for i in range(3)]

@@ -102,12 +102,20 @@ def lattice_points(rng, n):
     return np.stack(np.unravel_index(cells, (5, 5, 3)), axis=1).astype(np.float64)
 
 
-def assert_matches_oracle(pts, rng):
+def tree_neighbor_lists(pts, k):
+    """Each point's k nearest neighbors as cKDTree.query returns them, by
+    index into the points in position order."""
+    pos = pts[sorted(range(len(pts)), key=lambda i: tuple(pts[i]))]
+    _, nn = cKDTree(pos).query(pos, k=k + 1)
+    return [[int(j) for j in row if j != anchor][:k] for anchor, row in enumerate(nn)]
+
+
+def assert_matches_oracle(pts, rng, neighbor_lists=None):
     normals = rng.normal(size=(len(pts), 3))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     kps = make_kps(pts, normals)
     got = build_descriptors(kps, k_neighbors=20)
-    expected = oracle_descriptors(kps, k_neighbors=20)
+    expected = oracle_descriptors(kps, k_neighbors=20, neighbor_lists=neighbor_lists)
     assert len(got) == len(expected)
     for g, e in zip(got, expected):
         assert np.allclose(g.vertices, e["vertices"], atol=0)
@@ -116,17 +124,38 @@ def assert_matches_oracle(pts, rng):
     return got
 
 
+def tie_kinds(frame):
+    """Per row: "low" for l1 == l2 < l3, "high" for l1 < l2 == l3,
+    "equilateral", or "untied"."""
+    l1, l2, l3 = frame.sides.T
+    return np.where((l1 == l2) & (l2 == l3), "equilateral",
+                    np.where(l1 == l2, "low", np.where(l2 == l3, "high", "untied")))
+
+
 def test_matches_exhaustive_oracle():
     rng = np.random.default_rng(0)
     assert_matches_oracle(rng.uniform(0, 30, size=(30, 3)), rng)
-    # lattice: exact isosceles and equilateral ties exercise the permutation
-    # scan and the sort; 21 points, so every other point is a neighbor and
-    # equal distances cannot change which neighbors the k-d tree returns
+    # lattice: exact isosceles and equilateral ties exercise the vertex order
+    # and the sort; 21 points, so every other point is a neighbor and equal
+    # distances cannot change which neighbors the k-d tree returns
     got = assert_matches_oracle(lattice_points(rng, 21), rng)
-    sides = np.array([g.sides for g in got])
-    isosceles = (sides[:, 0] == sides[:, 1]) | (sides[:, 1] == sides[:, 2])
-    equilateral = (sides[:, 0] == sides[:, 1]) & (sides[:, 1] == sides[:, 2])
-    assert isosceles.sum() > equilateral.sum() > 0
+    assert set(tie_kinds(got)) == {"low", "high", "equilateral", "untied"}
+    # 30 lattice points: not every point is a neighbor, so a row's anchor,
+    # the first of its vertices whose neighbors hold the other two, is its
+    # smallest, middle or largest key-point id, for either kind of isosceles
+    # row (the few equilateral ones are each found first from their smallest)
+    pts = lattice_points(rng, 30)
+    lists = tree_neighbor_lists(pts, 20)
+    got = assert_matches_oracle(pts, rng, neighbor_lists=lists)
+    kinds = tie_kinds(got)
+    assert "equilateral" in kinds
+    anchor_ranks = {"low": set(), "high": set()}
+    for ids, kind in zip(got.vertex_ids, kinds):
+        if kind in anchor_ranks:
+            ids = sorted(ids)
+            anchor = min(v for v in ids if set(ids) - {v} <= set(lists[v]))
+            anchor_ranks[kind].add(ids.index(anchor))
+    assert anchor_ranks == {"low": {0, 1, 2}, "high": {0, 1, 2}}
 
 
 def test_equidistant_neighbors_follow_the_kd_tree():
@@ -139,10 +168,7 @@ def test_equidistant_neighbors_follow_the_kd_tree():
     got = build_descriptors(kps, k_neighbors=20)
     assert len(got) == 331
     assert len(oracle_descriptors(kps, k_neighbors=20)) == 327
-    pos = pts[sorted(range(len(pts)), key=lambda i: tuple(pts[i]))]
-    _, nn = cKDTree(pos).query(pos, k=21)
-    tree_lists = [[int(j) for j in row if j != anchor][:20] for anchor, row in enumerate(nn)]
-    expected = oracle_descriptors(kps, k_neighbors=20, neighbor_lists=tree_lists)
+    expected = oracle_descriptors(kps, k_neighbors=20, neighbor_lists=tree_neighbor_lists(pts, 20))
     assert len(got) == len(expected)
     for g, e in zip(got, expected):
         assert np.array_equal(g.vertices, e["vertices"])
@@ -153,6 +179,16 @@ def test_too_few_keypoints_yield_empty():
     empty = build_descriptors(make_kps([[0, 0, 0], [1, 0, 0]]), 20, frame_id=4)
     assert isinstance(empty, DescriptorFrame) and len(empty) == 0 and empty.frame_id == 4
     assert empty.vertices.shape == (0, 3, 3) and empty.sides.shape == (0, 3)
+
+
+def test_negative_or_nan_slack_rejected():
+    kps = make_kps([[0, 0, 0], [3, 0, 0], [3, 4, 0]])
+    for slack in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="degenerate_slack"):
+            build_descriptors(kps, 20, degenerate_slack=slack)
+    # any slack >= 0 drops a triangle with a repeated point (sides 0, l, l)
+    repeated = make_kps([[0, 0, 0], [0, 0, 0], [3, 0, 0]])
+    assert len(build_descriptors(repeated, 20, min_side=0.0, degenerate_slack=0.0)) == 0
 
 
 def test_canonical_side_order_and_vertex_consistency():

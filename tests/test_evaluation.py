@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from triloop.errors import NoGroundTruth
+from triloop.errors import MalformedRecord, NoGroundTruth
 from triloop.evaluation import (
     CandidateScoreRow,
     EvalRecord,
@@ -194,3 +194,20 @@ class TestCsvRoundTrip:
         path = tmp_path / "gt.csv"
         write_gt_csv(path, gt)
         assert read_gt_csv(path) == gt
+
+    def test_malformed_records_row_names_its_line(self, tmp_path):
+        header = "query_id,detected_id,overlap,votes,rot_err_deg,trans_err_m,candidates\n"
+        good = "0,,0.000000,0,,,\n"
+        bad_rows = ("1,,0.5,3", "1,,half,3,,,", "1,,0.5,3,,,2:3", "1,,0.5,3,,,2:x:0.5")
+        for row in bad_rows:
+            path = tmp_path / "records.csv"
+            path.write_text(header + good + row + "\n")
+            with pytest.raises(MalformedRecord, match="records.csv:3: "):
+                read_records_csv(path)
+
+    def test_malformed_gt_row_names_its_line(self, tmp_path):
+        for row in ("x,1", "2,1;y"):
+            path = tmp_path / "gt.csv"
+            path.write_text(f"query_id,loop_ids\n0,\n{row}\n")
+            with pytest.raises(MalformedRecord, match="gt.csv:3: "):
+                read_gt_csv(path)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from triloop.errors import DegenerateInput
+from triloop.errors import DegenerateInput, NonFiniteInput
 from triloop.geometry import (
     COLLINEARITY_TOL,
     Correspondences3,
@@ -191,6 +191,20 @@ def test_transform_validation_rejects_bad_rotation():
         RigidTransform(np.eye(3) * 1.001, np.zeros(3))
     with pytest.raises(ValueError):
         RigidTransform(-np.eye(3), np.zeros(3))  # det -1
+
+
+def test_non_finite_correspondences_rejected():
+    rng = np.random.default_rng(2)
+    for n in range(3, 9):
+        src, dst = random_cloud(rng, n), random_cloud(rng, n)
+        for bad in (np.nan, np.inf, -np.inf):
+            for row in range(n):
+                for column in range(3):
+                    for side in ("source", "target"):
+                        points = {"source": src.copy(), "target": dst.copy()}
+                        points[side][row, column] = bad
+                        with pytest.raises(NonFiniteInput, match=side):
+                            Correspondences3(**points)
 
 
 def test_correspondence_centroids_are_means():

@@ -127,6 +127,14 @@ class TestPcdAscii:
         with pytest.raises(UnsupportedFormat):
             read_pcd_ascii(path)
 
+    def test_malformed_data_row_names_its_line(self, tmp_path):
+        header = "VERSION 0.7\nFIELDS x y z\nDATA ascii\n1 2 3\n"
+        for row in ("4 5", "4 five 6"):  # a missing field, a non-number
+            path = tmp_path / "bad.pcd"
+            path.write_text(header + row + "\n")
+            with pytest.raises(MalformedRecord, match=f"bad.pcd:5: .*{row!r}"):
+                read_pcd_ascii(path)
+
     def test_round_trip_within_ascii_precision(self, tmp_path):
         rng = np.random.default_rng(1)
         pts = rng.uniform(-100, 100, size=(1000, 3))
@@ -159,6 +167,15 @@ class TestPoses:
         path.write_text("1 2 3\n")
         with pytest.raises(MalformedRecord):
             read_poses(path)
+
+    def test_bad_value_names_its_line(self, tmp_path):
+        path = tmp_path / "poses.txt"
+        # a non-number, a NaN, an infinity, a zero quaternion
+        for line in ("0 1 2 3 0 0 zero 1", "0 1 2 nan 0 0 0 1",
+                     "1 0 0 inf 0 1 0 0 0 0 1 0", "0 1 2 3 0 0 0 0"):
+            path.write_text(f"# header\n0 1 2 3 0 0 0 1\n{line}\n")
+            with pytest.raises(MalformedRecord, match="poses.txt:3: "):
+                read_poses(path)
 
 
 class TestAccumulate:

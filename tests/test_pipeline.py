@@ -78,6 +78,17 @@ class TestConfig:
             PipelineConfig.from_file(path)
         assert PipelineConfig(max_keypoints=0).max_keypoints == 0
 
+    def test_negative_or_nan_degenerate_slack_rejected(self, tmp_path):
+        for slack in (-0.1, float("nan")):
+            with pytest.raises(ConfigError, match="degenerate_slack"):
+                PipelineConfig(degenerate_slack=slack)
+        path = tmp_path / "run.cfg"
+        for value in ("-1", "nan"):
+            path.write_text(f"degenerate_slack = {value}\n")
+            with pytest.raises(ConfigError, match="degenerate_slack"):
+                PipelineConfig.from_file(path)
+        assert PipelineConfig(degenerate_slack=0.0).degenerate_slack == 0.0
+
     def test_bad_connectivity_rejected(self, tmp_path):
         for connectivity in (18, 0, -6):
             with pytest.raises(ConfigError, match="connectivity"):

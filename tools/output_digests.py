@@ -9,9 +9,12 @@ For each seed, every sequence that ``perfbench/loop_replay.py`` replays at
 that seed (same yard, path and config, imported from there) is written to a
 temporary directory and run once through ``evaluation.run_sequence``. One
 line per sequence gives the sha256 of its ``records.csv``, ``gt.csv`` and
-``pr.csv``, so running the same command in two checkouts and comparing the
-lines shows whether a change keeps those outputs byte for byte. triloop is
-imported from the checkout's ``src/``.
+``pr.csv``, and ``frames=``, one sha256 over the ``DescriptorFrame`` columns
+(``positions``, ``point_normals``, ``vertex_ids``, ``signatures``) that
+``pipeline.extract_frame`` returned for every keyframe of the sequence.
+Running the same command in two checkouts and comparing the lines shows
+whether a change keeps those outputs, and the descriptors behind them, byte
+for byte. triloop is imported from the checkout's ``src/``.
 """
 
 import os
@@ -22,15 +25,18 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import hashlib  # noqa: E402
 import shutil  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
+from unittest import mock  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import loop_replay  # noqa: E402
+import numpy as np  # noqa: E402
 from triloop import evaluation, pipeline, synthetic  # noqa: E402
 from worlds import fixed_boxes  # noqa: E402
 
@@ -46,8 +52,28 @@ def _seeds(spec: str) -> range:
     return range(lo, hi + 1)
 
 
+FRAME_COLUMNS = ("positions", "point_normals", "vertex_ids", "signatures")
+
+
+def hashing_frames(digest):
+    """``pipeline.extract_frame`` that also feeds the shape and bytes of each
+    returned frame's columns to ``digest``."""
+    extract = pipeline.extract_frame
+
+    def extract_frame(*args, **kwargs):
+        extraction = extract(*args, **kwargs)
+        for name in FRAME_COLUMNS:
+            column = np.ascontiguousarray(getattr(extraction.descriptors, name))
+            digest.update(np.array(column.shape, dtype=np.int64).tobytes())
+            digest.update(column.tobytes())
+        return extraction
+
+    return extract_frame
+
+
 def sequence_digests(seed: int, work: Path):
-    """(sequence, {output name: sha256}) of each loop_replay sequence of one seed."""
+    """(sequence, {output name: sha256}) of each loop_replay sequence of one
+    seed, the descriptor frames under ``frames``."""
     poses = synthetic.out_and_back_poses(**loop_replay.PATH)
     boxes = fixed_boxes(loop_replay.EXTENT, loop_replay.N_BOXES)
     cfg = pipeline.PipelineConfig(seed=seed, **loop_replay.CONFIG)
@@ -56,8 +82,11 @@ def sequence_digests(seed: int, work: Path):
             seed=seed * loop_replay.SEQUENCES + k, extent=loop_replay.EXTENT, boxes=boxes)
         base = work / f"seed{seed}_seq{k}"
         sequence = synthetic.write_sequence(base, world, poses, max_range=loop_replay.MAX_RANGE)
-        evaluation.run_sequence(cfg, *sequence, out_dir=base / "out")
+        digest = hashlib.sha256()
+        with mock.patch.object(pipeline, "extract_frame", hashing_frames(digest)):
+            evaluation.run_sequence(cfg, *sequence, out_dir=base / "out")
         hashes = loop_replay.output_hashes(base / "out")
+        hashes["frames"] = digest.hexdigest()
         shutil.rmtree(base)
         yield k, hashes
 
