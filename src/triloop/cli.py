@@ -11,6 +11,7 @@ row).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -102,7 +103,7 @@ def _parse_grid(spec: str) -> list[float]:
 def _cmd_run(args) -> int:
     cfg = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
     if args.downsample_leaf is not None:
-        cfg.downsample_leaf = args.downsample_leaf
+        cfg = dataclasses.replace(cfg, downsample_leaf=args.downsample_leaf)
     result = run_sequence(cfg, args.scans, args.poses, out_dir=args.out)
     s = result.summary
     print(

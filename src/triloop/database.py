@@ -12,9 +12,11 @@ the size of the newer, so segments shrink geometrically, there are at most
 log2(rows) + 1 of them, and a row is re-sorted O(log rows) times over its
 life. A query binary-searches each segment for its bucket keys and gathers
 every matching row in one step, so its cost follows the number of matches,
-not the length of a bucket. The full cell 6-tuple is compared on every
-lookup, so bucket collisions between distinct cells never produce false
-matches. Inserting a frame is atomic with respect to concurrent queries.
+not the length of a bucket. No step depends on the order of rows within a
+bucket: a vote's pair partner is the smallest matching row of its frame. The
+full cell 6-tuple is compared on every lookup, so bucket collisions between
+distinct cells never produce false matches. Inserting a frame is atomic with
+respect to concurrent queries.
 
 A keyframe is queried and then inserted, so a frame's cells, bucket keys and
 key order are computed once and kept for the insert that follows its query.
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import mix_words, stable_argsort
+from .cells import mix_words
 from .descriptors import DescriptorFrame, DescriptorPairs
 from .errors import DuplicateFrame, MalformedRecord
 
@@ -68,8 +70,8 @@ def frame_keys(
 
 @dataclass(frozen=True, eq=False)
 class _FrameKeys:
-    """A frame's cells (M, 6), bucket keys (M,), and its rows in stable
-    bucket-key order with the keys in that order."""
+    """A frame's cells (M, 6), bucket keys (M,), and its rows in bucket-key
+    order with the keys in that order."""
 
     frame: DescriptorFrame
     cells: np.ndarray
@@ -134,14 +136,14 @@ class DescriptorDatabase:
         self._index_rows = np.empty(0, dtype=np.int64)
         self._segment_starts: list[int] = []
         self._frame_starts = np.zeros(1, dtype=np.int64)  # each frame's first row, then the end
-        self._insertion_order: list[int] = []
+        self._frame_ids = np.empty(0, dtype=np.int64)     # each frame's id, in insertion order
         self._frames: dict[int, DescriptorFrame] = {}
         self._lock = threading.RLock()
         self._queried: _FrameKeys | None = None  # keys of the frame queried last
 
     @property
     def frames_indexed(self) -> int:
-        return len(self._insertion_order)
+        return len(self._frame_ids)
 
     @property
     def descriptors_indexed(self) -> int:
@@ -157,7 +159,7 @@ class DescriptorDatabase:
 
     def _keys(self, frame: DescriptorFrame) -> _FrameKeys:
         cells, buckets = frame_keys(frame.signatures, self.delta_l, self.delta_n)
-        order = stable_argsort(buckets)
+        order = np.argsort(buckets)
         return _FrameKeys(frame, cells, order, buckets[order])
 
     def insert_frame(self, frame_id: int, frame: DescriptorFrame) -> None:
@@ -187,8 +189,8 @@ class DescriptorDatabase:
                 self._segment_starts.append(start)
                 self._merge_segments(stop)
             self._frame_starts = np.append(self._frame_starts, stop)
+            self._frame_ids = np.append(self._frame_ids, frame_id)
             self._frames[frame_id] = frame
-            self._insertion_order.append(frame_id)
 
     def _reserve(self, n_rows: int) -> None:
         capacity = len(self._index_rows)
@@ -203,8 +205,9 @@ class DescriptorDatabase:
 
     def _merge_segments(self, stop: int) -> None:
         """Merge the newest two segments while the older holds at most twice
-        the rows of the newer. A stable sort keeps each bucket's rows in row
-        order."""
+        the rows of the newer. The tail is two runs sorted by key, which the
+        stable sort (timsort) merges in linear time; the default sort does not
+        use the runs."""
         starts = self._segment_starts
         while len(starts) > 1 and starts[-1] - starts[-2] <= 2 * (stop - starts[-1]):
             starts.pop()
@@ -215,8 +218,7 @@ class DescriptorDatabase:
 
     def _bucket_rows(self, keys: _FrameKeys, below: int) -> tuple[np.ndarray, np.ndarray]:
         """Every (query index, stored row) pair whose bucket keys are equal, in
-        the segments that start below row ``below``, ordered by query index,
-        then stored row."""
+        the segments that start below row ``below``, in no particular order."""
         # sorted needles keep each segment's binary searches on shared paths
         order, needles = keys.order, keys.sorted_buckets
         none = np.empty(0, dtype=np.int64)
@@ -233,26 +235,18 @@ class DescriptorDatabase:
                 query.append(order[hit])
                 first.append(start + lo)
                 counts.append(segment.searchsorted(needles[hit], side="right") - lo)
-        # One run of equal keys per (query, segment). Segments hold ascending
-        # row ranges and a run lists its rows in order, so runs ordered by
-        # query, then segment, list each query's rows in order.
-        query = np.concatenate(query)
-        runs = np.argsort(query, kind="stable")
-        query = query[runs]
-        first = np.concatenate(first)[runs]
-        counts = np.concatenate(counts)[runs]
-        # positions first, first + 1, ... of each run
+        # one run of equal keys per (query, segment), at positions first, first + 1, ...
+        counts = np.concatenate(counts)
         run_start = np.cumsum(counts) - counts
-        positions = np.arange(counts.sum()) + np.repeat(first - run_start, counts)
-        return np.repeat(query, counts), self._index_rows[positions]
+        positions = np.arange(counts.sum()) + np.repeat(np.concatenate(first) - run_start, counts)
+        return np.repeat(np.concatenate(query), counts), self._index_rows[positions]
 
     def _vote(self, frame: DescriptorFrame, skip_recent: int) -> _Votes:
         """The vote kernel: one vote per (query descriptor, frame) cell match.
 
         The newest skip_recent frames are the rows from the first of them on.
-        Matches come ordered by (query row, stored row), and a frame's rows
-        are consecutive, so the first match of each (query row, frame) is the
-        frame's earliest stored descriptor in the cell: its pair partner.
+        A vote's pair partner is the smallest stored row among the frame's
+        matches of that query row: the frame's earliest descriptor in the cell.
         """
         keys = self._queried = self._keys(frame)  # kept for the frame's insert
         with self._lock:
@@ -263,17 +257,16 @@ class DescriptorDatabase:
             keep = (stored < below) & (self._cells[stored] == keys.cells[query]).all(axis=1)
             query, stored = query[keep], stored[keep]
             frames = starts.searchsorted(stored, side="right") - 1  # skips empty frames
-            first = np.ones(len(query), dtype=bool)
-            first[1:] = (query[1:] != query[:-1]) | (frames[1:] != frames[:-1])
-            query, stored, frames = query[first], stored[first], frames[first]
-            # a stable sort by frame: each (frame, query row) is matched once
-            by_frame = np.argsort(frames * len(frame) + query)
-            query, stored, frames = query[by_frame], stored[by_frame], frames[by_frame]
+            group = frames * len(frame) + query  # (frame, query row), in that order
+            order = np.argsort(group)
+            group = group[order]
+            groups = np.flatnonzero(np.diff(group, prepend=-1))
+            stored = np.minimum.reduceat(stored[order], groups)
+            frames, query = np.divmod(group[groups], len(frame))
             firsts = np.flatnonzero(np.diff(frames, prepend=-1))
             votes = np.diff(firsts, append=len(frames))
             slots = stored - starts[frames]
-            ids = np.array([self._insertion_order[f] for f in frames[firsts].tolist()],
-                           dtype=np.int64)
+            ids = self._frame_ids[frames[firsts]]
         rank = np.lexsort((ids, -votes))
         return _Votes(ids[rank], votes[rank], firsts[rank], query, slots)
 
@@ -319,9 +312,8 @@ class DescriptorDatabase:
                 with open(partial, "wb") as f:
                     f.write(_SNAPSHOT_MAGIC)
                     f.write(_HEADER.pack(_SNAPSHOT_VERSION, self.delta_l, self.delta_n,
-                                         len(self._insertion_order)))
-                    for fid in self._insertion_order:
-                        frame = self._frames[fid]
+                                         len(self._frames)))
+                    for fid, frame in self._frames.items():  # in insertion order
                         f.write(_FRAME_HEADER.pack(fid, len(frame)))
                         f.write(_frame_record(frame))
             except BaseException:

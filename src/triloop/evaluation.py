@@ -109,7 +109,6 @@ def run_sequence(
 
     session = MatchingSession(cfg)
     records: list[EvalRecord] = []
-    anchors: list[np.ndarray] = []
     anchor_poses: list[RigidTransform] = []
     wall_start = time.perf_counter()
 
@@ -124,7 +123,6 @@ def run_sequence(
         t_load = (time.perf_counter() - t0) * 1e3
 
         outcome = session.process_keyframe(kf_id, keyframe.cloud)
-        anchors.append(keyframe.anchor_pose.t.copy())
         anchor_poses.append(keyframe.anchor_pose)
 
         record = EvalRecord(
@@ -153,7 +151,8 @@ def run_sequence(
             record.trans_err_m = trans
         records.append(record)
 
-    gt = ground_truth_loops(np.array(anchors), cfg.gt_radius, cfg.skip_recent)
+    gt = ground_truth_loops(np.array([pose.t for pose in anchor_poses]), cfg.gt_radius,
+                            cfg.skip_recent)
     summary = _summarize(records, gt, cfg, (time.perf_counter() - wall_start) * 1e3)
     result = SequenceResult(records=records, ground_truth=gt, summary=summary)
 

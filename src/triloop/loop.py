@@ -294,7 +294,7 @@ def plane_icp(
     """Refine a transform by minimizing plane-pair normal and point-to-plane
     residuals with damped Gauss-Newton on a 6-dof local perturbation.
 
-    Pairs are re-associated by nearest center each iteration and gated by the
+    Pairs are associated by nearest center once per pose and gated by the
     same sigma_n / sigma_d tests used for overlap scoring. Never returns a
     transform with higher cost than the initial one.
     """
@@ -315,43 +315,41 @@ def plane_icp(
         rd = np.einsum("ij,ij->i", tgt_n, centers - cand_centers[nearest[mask]]) / sigma_d
         return rn, rd, centers, normals, tgt_n
 
-    def cost(T: RigidTransform, *association) -> float:
-        rn, rd = residuals(T, *association)[:2]
+    def cost(rn, rd) -> float:
         return float(np.sum(rn * rn) + np.sum(rd * rd))
 
-    mask0, nearest0, signs0 = associate(initial)
-    if int(mask0.sum()) < MIN_REFINE_PAIRS:
+    # the association of the current pose T: made once per pose
+    association = associate(initial)
+    if int(association[0].sum()) < MIN_REFINE_PAIRS:
         raise InsufficientOverlap(
-            f"{int(mask0.sum())} coinciding plane pairs under the initial transform, "
+            f"{int(association[0].sum())} coinciding plane pairs under the initial transform, "
             f"need {MIN_REFINE_PAIRS}"
         )
-    initial_cost = cost(initial, mask0, nearest0, signs0)
+    initial_cost = cost(*residuals(initial, *association)[:2])
 
     T = initial
     damping = 1e-6
     for _ in range(max_iterations):
-        mask, nearest, signs = associate(T)
-        if int(mask.sum()) < MIN_REFINE_PAIRS:
-            break
-        rn, rd, centers, normals, tgt_n = residuals(T, mask, nearest, signs)
+        rn, rd, centers, normals, tgt_n = residuals(T, *association)
 
         # left perturbation: R <- Exp(dw) R, t <- t + dt
         # d rn / d dw = -[R u]x / sigma_n; d rd / d dw = ((R g) x u')/sigma_d; d rd / d dt = u'/sigma_d
-        n_pairs = int(mask.sum())
+        n_pairs = len(rd)
         J = np.zeros((n_pairs * 3 + n_pairs, 6))
         r = np.concatenate([rn.ravel(), rd])
-        J[: n_pairs * 3, 0:3] = (-_skew_batch(normals) / sigma_n).reshape(-1, 3)
+        # row j of -[v]x is v x e_j
+        J[: n_pairs * 3, 0:3] = (np.cross(normals[:, None, :], np.eye(3)) / sigma_n).reshape(-1, 3)
         rotated_centers = centers - T.t
         J[n_pairs * 3 :, 0:3] = np.cross(rotated_centers, tgt_n) / sigma_d
         J[n_pairs * 3 :, 3:6] = tgt_n / sigma_d
 
-        current_cost = cost(T, mask, nearest, signs)
+        current_cost = cost(rn, rd)
         step_taken = False
         for _ in range(8):
             H = J.T @ J + damping * np.eye(6)
             delta = np.linalg.solve(H, -J.T @ r)
             T_try = _apply_perturbation(T, delta)
-            if cost(T_try, mask, nearest, signs) <= current_cost:
+            if cost(*residuals(T_try, *association)[:2]) <= current_cost:
                 T = T_try
                 damping = max(damping / 3.0, 1e-9)
                 step_taken = True
@@ -359,27 +357,15 @@ def plane_icp(
             damping *= 10.0
         if not step_taken:
             break
+        association = associate(T)
+        if int(association[0].sum()) < MIN_REFINE_PAIRS:
+            return initial
         if float(np.linalg.norm(delta)) < update_tol:
             break
 
-    mask_f, nearest_f, signs_f = associate(T)
-    if int(mask_f.sum()) >= MIN_REFINE_PAIRS and cost(T, mask_f, nearest_f, signs_f) <= initial_cost:
+    if cost(*residuals(T, *association)[:2]) <= initial_cost:
         return T
     return initial
-
-
-def _skew_batch(vectors: np.ndarray) -> np.ndarray:
-    """(n, 3) vectors -> (n, 3, 3) cross-product matrices."""
-    n = len(vectors)
-    out = np.zeros((n, 3, 3))
-    x, y, z = vectors[:, 0], vectors[:, 1], vectors[:, 2]
-    out[:, 0, 1] = -z
-    out[:, 0, 2] = y
-    out[:, 1, 0] = z
-    out[:, 1, 2] = -x
-    out[:, 2, 0] = -y
-    out[:, 2, 1] = x
-    return out
 
 
 def _apply_perturbation(T: RigidTransform, delta: np.ndarray) -> RigidTransform:

@@ -7,6 +7,7 @@ verification, and database insertion for sequential replay.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -69,6 +70,16 @@ class PipelineConfig:
             raise ConfigError(f"degenerate_slack must be >= 0; got {self.degenerate_slack}")
         if self.connectivity not in (6, 26):
             raise ConfigError(f"connectivity must be 6 or 26; got {self.connectivity}")
+        for name in ("delta_l", "delta_n"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0; got {getattr(self, name)}")
+        if self.n_accumulate < 1:
+            raise ConfigError(f"n_accumulate must be >= 1; got {self.n_accumulate}")
+        if self.skip_recent < 0:
+            raise ConfigError(f"skip_recent must be >= 0; got {self.skip_recent}")
+        if not 0 <= self.downsample_leaf < math.inf:
+            raise ConfigError(
+                f"downsample_leaf must be finite and >= 0; got {self.downsample_leaf}")
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":

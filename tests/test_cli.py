@@ -276,6 +276,34 @@ class TestExitCodes:
         assert code == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("line", [
+        "delta_l = 0", "delta_n = nan", "n_accumulate = 0", "skip_recent = -1",
+        "downsample_leaf = -1",
+    ])
+    def test_value_that_crashes_or_miscounts_is_config_error(self, tmp_path, world, line):
+        cfg_path = tmp_path / "run.cfg"
+        write_config(cfg_path)
+        cfg_path.write_text(cfg_path.read_text() + line + "\n")
+        scan_dir, pose_file = write_sequence(tmp_path, world, [yaw_pose(6.0, 9.0, 1.5, 0.0)])
+        code = main(
+            ["run", "--config", str(cfg_path), "--scans", str(scan_dir),
+             "--poses", str(pose_file), "--out", str(tmp_path / "out")]
+        )
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_downsample_leaf_override_is_config_error(self, tmp_path, world):
+        cfg_path = tmp_path / "run.cfg"
+        write_config(cfg_path)
+        scan_dir, pose_file = write_sequence(tmp_path, world, [yaw_pose(6.0, 9.0, 1.5, 0.0)])
+        code = main(
+            ["run", "--config", str(cfg_path), "--scans", str(scan_dir),
+             "--poses", str(pose_file), "--out", str(tmp_path / "out"),
+             "--downsample-leaf", "-1"]
+        )
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
     def test_negative_or_nan_degenerate_slack_is_config_error(self, tmp_path, world):
         poses = [yaw_pose(6.0 + i, 9.0, 1.5, 0.0) for i in range(3)]
         scan_dir, pose_file = write_sequence(tmp_path, world, poses)

@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from triloop.database import DescriptorDatabase, frame_keys, stable_argsort
+from triloop.cells import stable_argsort
+from triloop.database import DescriptorDatabase, frame_keys
 from triloop.descriptors import (
     DescriptorFrame,
     TriangleDescriptor,
@@ -586,6 +587,43 @@ class TestVoteKernel:
                 partner = next(d for d in frames[c.frame_id] if key(d, db) == key(q, db))
                 assert same_row(s, partner)
 
+    def test_votes_and_partners_ignore_the_order_of_bucket_matches(self, monkeypatch):
+        # frames hold up to eight copies of a shared descriptor, so one
+        # (frame, query row) gathers many matches, across merged segments
+        rng = np.random.default_rng(31)
+        shared = synth_frame(rng, 0, 4, side_range=(1.0, 4.0), structured_normals=True)
+        db = DescriptorDatabase()
+        for f in range(40):
+            frame = list(synth_frame(rng, f, int(rng.integers(0, 25)),
+                                     side_range=(1.0, 4.0), structured_normals=True))
+            frame += [dataclasses.replace(shared[i], frame_id=f)
+                      for i in rng.integers(0, len(shared), size=int(rng.integers(0, 9)))]
+            db.insert_frame(f, stack_frame([frame[i] for i in rng.permutation(len(frame))], f))
+        query = stack_frame(list(shared) + list(synth_frame(rng, 99, 30, side_range=(1.0, 4.0),
+                                                            structured_normals=True)), 99)
+        assert len(db._segment_starts) < 20  # merged
+        matched, stored = db._bucket_rows(db._keys(query), db.descriptors_indexed)
+        frames = db._frame_starts.searchsorted(stored, side="right") - 1
+        assert len(np.unique(frames * len(query) + matched)) < len(matched)  # shared cells
+
+        def answers():
+            return db.vote_counts(query, skip_recent=3), [
+                (c.frame_id, c.votes, c.pairs.query_rows.tolist(), c.pairs.stored_rows.tolist())
+                for c in db.query_candidates(query, skip_recent=3)]
+
+        expected = answers()
+        bucket_rows = DescriptorDatabase._bucket_rows
+        shuffle = np.random.default_rng(32)
+
+        def permuted(self, keys, below):
+            query_rows, stored_rows = bucket_rows(self, keys, below)
+            order = shuffle.permutation(len(query_rows))
+            return query_rows[order], stored_rows[order]
+
+        monkeypatch.setattr(DescriptorDatabase, "_bucket_rows", permuted)
+        for _ in range(5):
+            assert answers() == expected
+
     def test_segments_past_the_skip_cut_are_never_searched(self):
         # each frame under half the size of the one before it, so every
         # non-empty frame stays a segment of its own
@@ -730,7 +768,7 @@ class TestStreamedSnapshot:
         """Offsets where the magic, the header, each frame header and each
         descriptor row of db's snapshot end."""
         ends = [8, 8 + 28]
-        for fid in db._insertion_order:
+        for fid in db._frames:
             ends.append(ends[-1] + 16)
             ends += [ends[-1] + 192 * (row + 1) for row in range(len(db._frames[fid]))]
         return ends

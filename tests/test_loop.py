@@ -600,33 +600,47 @@ class TestPlaneIcp:
         assert rotation_angle_deg(truth.R.T @ refined.R) < 0.001
         assert np.linalg.norm(refined.t - truth.t) < 1e-4
 
-    def test_cost_never_worse_than_start(self):
-        rng = np.random.default_rng(16)
+    def nudged_start(self, rng):
         current, candidate, truth = self.planted(rng, n=80)
         nudge = RigidTransform(
             rotation_about_axis(rng.normal(size=3), np.radians(1.5)),
             rng.normal(size=3) * 0.1,
         )
-        start = nudge.compose(truth)
+        return current, candidate, nudge.compose(truth)
+
+    @staticmethod
+    def independent_cost(current, candidate, t):
+        """Residual cost of t by a per-plane nearest-center association."""
+        total = 0.0
+        cand_centers, cand_normals = candidate.centers, candidate.normals
+        for center, normal in zip(current.centers, current.normals):
+            g = t.apply(center)
+            j = int(np.argmin(np.linalg.norm(cand_centers - g, axis=1)))
+            u = t.R @ normal
+            n_res = min(
+                np.linalg.norm(u - cand_normals[j]), np.linalg.norm(u + cand_normals[j])
+            )
+            d_res = abs(float(cand_normals[j] @ (g - cand_centers[j])))
+            if n_res < 0.2 and d_res < 0.3:
+                total += (n_res / 0.2) ** 2 + (d_res / 0.3) ** 2
+        return total
+
+    def test_cost_never_worse_than_start(self):
+        current, candidate, start = self.nudged_start(np.random.default_rng(16))
         refined = plane_icp(current, candidate, start)
+        cost = self.independent_cost
+        assert cost(current, candidate, refined) <= cost(current, candidate, start) + 1e-12
 
-        def cost(t):
-            # independent residual evaluation with nearest-center association
-            total = 0.0
-            cand_centers, cand_normals = candidate.centers, candidate.normals
-            for center, normal in zip(current.centers, current.normals):
-                g = t.apply(center)
-                j = int(np.argmin(np.linalg.norm(cand_centers - g, axis=1)))
-                u = t.R @ normal
-                n_res = min(
-                    np.linalg.norm(u - cand_normals[j]), np.linalg.norm(u + cand_normals[j])
-                )
-                d_res = abs(float(cand_normals[j] @ (g - cand_centers[j])))
-                if n_res < 0.2 and d_res < 0.3:
-                    total += (n_res / 0.2) ** 2 + (d_res / 0.3) ** 2
-            return total
+    def test_zero_iterations_return_the_start(self):
+        current, candidate, start = self.nudged_start(np.random.default_rng(16))
+        refined = plane_icp(current, candidate, start, max_iterations=0)
+        assert np.array_equal(refined.R, start.R) and np.array_equal(refined.t, start.t)
 
-        assert cost(refined) <= cost(start) + 1e-12
+    def test_one_iteration_is_no_worse_than_the_start(self):
+        current, candidate, start = self.nudged_start(np.random.default_rng(16))
+        refined = plane_icp(current, candidate, start, max_iterations=1)
+        cost = self.independent_cost
+        assert cost(current, candidate, refined) <= cost(current, candidate, start) + 1e-12
 
     def test_insufficient_overlap_raises(self):
         rng = np.random.default_rng(17)

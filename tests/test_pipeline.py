@@ -78,6 +78,23 @@ class TestConfig:
             PipelineConfig.from_file(path)
         assert PipelineConfig(max_keypoints=0).max_keypoints == 0
 
+    @pytest.mark.parametrize("field, value", [
+        ("delta_l", "0"), ("delta_l", "inf"), ("delta_n", "nan"), ("delta_n", "-0.1"),
+        ("n_accumulate", "0"), ("n_accumulate", "-3"), ("skip_recent", "-1"),
+        ("downsample_leaf", "-1"), ("downsample_leaf", "nan"),
+    ])
+    def test_values_that_crash_or_miscount_rejected(self, tmp_path, field, value):
+        with pytest.raises(ConfigError, match=field):
+            PipelineConfig(**{field: type(getattr(PipelineConfig, field))(value)})
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{field} = {value}\n")
+        with pytest.raises(ConfigError, match=field):
+            PipelineConfig.from_file(path)
+
+    def test_boundary_values_accepted(self):
+        cfg = PipelineConfig(n_accumulate=1, skip_recent=0, downsample_leaf=0.0)
+        assert (cfg.n_accumulate, cfg.skip_recent, cfg.downsample_leaf) == (1, 0, 0.0)
+
     def test_negative_or_nan_degenerate_slack_rejected(self, tmp_path):
         for slack in (-0.1, float("nan")):
             with pytest.raises(ConfigError, match="degenerate_slack"):
