@@ -4,8 +4,8 @@
     triloop sweep --records results/records.csv --gt results/gt.csv --out pr.csv
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error (unreadable,
-truncated, empty or out-of-range scan input, or a malformed pose, PCD or CSV
-row).
+truncated, empty or out-of-range scan input, a malformed pose, PCD or CSV
+row, or a CSV header that lacks a column).
 """
 
 from __future__ import annotations

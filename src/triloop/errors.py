@@ -29,11 +29,13 @@ class MalformedRecord(TriloopError):
     for these text rows, naming ``path:line``: a pose line with neither 12
     nor 8 values, a non-number, a NaN or infinite value or a zero
     quaternion, an ASCII PCD data row with a missing field or a non-number,
-    a ``records.csv`` row with too few fields or a non-number, and a
-    ``gt.csv`` row with a non-number; and for a descriptor snapshot with bad
-    magic, an unsupported version or invalid header values, a truncated
-    record, a NaN or infinite value, a frame id given twice, or bytes after
-    the last frame.
+    and, in a ``records.csv`` or ``gt.csv``, a header that lacks one of the
+    file's columns or names one twice (or no header at all), a row whose field count differs
+    from the header's (a blank row included), a non-number, or a query id
+    given twice; and for a descriptor snapshot with bad magic, an
+    unsupported version or invalid header values, a truncated record, a NaN
+    or infinite value, a frame id given twice, or bytes after the last
+    frame.
     """
 
 

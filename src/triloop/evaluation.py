@@ -9,6 +9,7 @@ file because they are the one non-reproducible output.
 
 from __future__ import annotations
 
+import csv
 import json
 import time
 from dataclasses import dataclass, field
@@ -241,6 +242,13 @@ def pr_sweep(
 
 # -- CSV I/O ------------------------------------------------------------------
 
+RECORDS_COLUMNS = ("query_id", "detected_id", "overlap", "votes", "rot_err_deg",
+                   "trans_err_m", "candidates")
+TIMINGS_COLUMNS = ("query_id", "t_extract_ms", "t_query_ms", "t_verify_ms")
+GT_COLUMNS = ("query_id", "loop_ids")
+PR_COLUMNS = ("sigma_pc", "tp", "fp", "fn", "precision", "recall")
+
+
 def _fmt(value, digits: int = 9) -> str:
     if value is None:
         return ""
@@ -249,100 +257,91 @@ def _fmt(value, digits: int = 9) -> str:
     return str(value)
 
 
+def _write_csv(path, columns: tuple[str, ...], rows: list[tuple]) -> None:
+    with open(path, "w", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows([columns, *rows])
+
+
+def _read_csv(path, columns: tuple[str, ...], what: str, parse) -> dict:
+    """``parse`` of each data row, given as a dict from column name to field,
+    keyed by the row's query id in file order. The header must name every
+    one of ``columns`` and may name more. A header that lacks one or names a
+    column twice, a row whose field count differs from the header's (a blank
+    row included), a ValueError from ``parse`` or a query id given twice
+    raises MalformedRecord naming ``path:line``."""
+    with open(path, newline="") as f:
+        rows = csv.reader(f)
+        header = next(rows, [])
+        if not set(columns) <= set(header) or len(set(header)) < len(header):
+            raise MalformedRecord(f"{path}:1: bad {what} header {','.join(header)!r}")
+        parsed = {}
+        for row in rows:
+            try:
+                if len(row) != len(header):
+                    raise ValueError
+                fields = dict(zip(header, row))
+                query_id = int(fields["query_id"])
+                value = parse(fields)
+            except ValueError:
+                raise MalformedRecord(
+                    f"{path}:{rows.line_num}: bad {what} row {','.join(row)!r}") from None
+            if query_id in parsed:
+                raise MalformedRecord(f"{path}:{rows.line_num}: query_id {query_id} given twice")
+            parsed[query_id] = value
+    return parsed
+
+
 def write_records_csv(path, records: list[EvalRecord]) -> None:
-    lines = ["query_id,detected_id,overlap,votes,rot_err_deg,trans_err_m,candidates"]
-    for r in records:
-        cands = ";".join(
-            f"{c.frame_id}:{c.votes}:{_fmt(c.overlap, 6)}" for c in r.candidates
-        )
-        lines.append(
-            ",".join(
-                [
-                    str(r.query_id),
-                    _fmt(r.detected_id),
-                    _fmt(r.overlap, 6),
-                    str(r.votes),
-                    _fmt(r.rot_err_deg),
-                    _fmt(r.trans_err_m),
-                    cands,
-                ]
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, RECORDS_COLUMNS, [
+        (r.query_id, _fmt(r.detected_id), _fmt(r.overlap, 6), r.votes, _fmt(r.rot_err_deg),
+         _fmt(r.trans_err_m),
+         ";".join(f"{c.frame_id}:{c.votes}:{_fmt(c.overlap, 6)}" for c in r.candidates))
+        for r in records
+    ])
 
 
 def read_records_csv(path) -> list[EvalRecord]:
-    """The records of a ``records.csv``; a row with too few fields or a
-    non-number where one belongs raises MalformedRecord."""
-    lines = Path(path).read_text().splitlines()
-    records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            records.append(_parse_record(line.split(",")))
-        except (IndexError, ValueError):
-            raise MalformedRecord(f"{path}:{lineno}: bad records row {line!r}") from None
-    return records
+    """The records of a ``records.csv``, read by column name (see _read_csv)."""
+    return list(_read_csv(path, RECORDS_COLUMNS, "records", _parse_record).values())
 
 
-def _parse_record(parts: list[str]) -> EvalRecord:
+def _parse_record(fields: dict[str, str]) -> EvalRecord:
     cands = []
-    if parts[6]:
-        for chunk in parts[6].split(";"):
+    if fields["candidates"]:
+        for chunk in fields["candidates"].split(";"):
             fid, votes, overlap = chunk.split(":")
             cands.append(CandidateScoreRow(int(fid), int(votes), float(overlap)))
     return EvalRecord(
-        query_id=int(parts[0]),
-        detected_id=int(parts[1]) if parts[1] else None,
-        overlap=float(parts[2]),
-        votes=int(parts[3]),
-        rot_err_deg=float(parts[4]) if parts[4] else None,
-        trans_err_m=float(parts[5]) if parts[5] else None,
+        query_id=int(fields["query_id"]),
+        detected_id=int(fields["detected_id"]) if fields["detected_id"] else None,
+        overlap=float(fields["overlap"]),
+        votes=int(fields["votes"]),
+        rot_err_deg=float(fields["rot_err_deg"]) if fields["rot_err_deg"] else None,
+        trans_err_m=float(fields["trans_err_m"]) if fields["trans_err_m"] else None,
         candidates=cands,
     )
 
 
 def write_timings_csv(path, records: list[EvalRecord]) -> None:
-    lines = ["query_id,t_extract_ms,t_query_ms,t_verify_ms"]
-    for r in records:
-        lines.append(
-            f"{r.query_id},{_fmt(r.t_extract_ms, 3)},{_fmt(r.t_query_ms, 3)},"
-            f"{_fmt(r.t_verify_ms, 3)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, TIMINGS_COLUMNS, [
+        (r.query_id, _fmt(r.t_extract_ms, 3), _fmt(r.t_query_ms, 3), _fmt(r.t_verify_ms, 3))
+        for r in records
+    ])
 
 
 def write_gt_csv(path, gt: dict[int, list[int]]) -> None:
-    lines = ["query_id,loop_ids"]
-    for q in sorted(gt):
-        lines.append(f"{q}," + ";".join(str(j) for j in gt[q]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, GT_COLUMNS, [(q, ";".join(map(str, gt[q]))) for q in sorted(gt)])
 
 
 def read_gt_csv(path) -> dict[int, list[int]]:
-    lines = Path(path).read_text().splitlines()
-    gt: dict[int, list[int]] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        q, _, ids = line.partition(",")
-        try:
-            gt[int(q)] = [int(i) for i in ids.split(";") if i]
-        except ValueError:
-            raise MalformedRecord(f"{path}:{lineno}: bad ground-truth row {line!r}") from None
-    return gt
+    """Loop ids per query of a ``gt.csv``, read by column name (see _read_csv)."""
+    return _read_csv(path, GT_COLUMNS, "ground-truth",
+                     lambda fields: [int(i) for i in fields["loop_ids"].split(";") if i])
 
 
 def write_pr_csv(path, rows: list[dict]) -> None:
-    lines = ["sigma_pc,tp,fp,fn,precision,recall"]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(row["sigma_pc"], 2),
-                    str(row["tp"]),
-                    str(row["fp"]),
-                    str(row["fn"]),
-                    _fmt(row["precision"], 6),
-                    _fmt(row["recall"], 6),
-                ]
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, PR_COLUMNS, [
+        (_fmt(row["sigma_pc"], 2), row["tp"], row["fp"], row["fn"],
+         _fmt(row["precision"], 6), _fmt(row["recall"], 6))
+        for row in rows
+    ])

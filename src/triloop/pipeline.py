@@ -24,6 +24,21 @@ from .loop import MODES, ScoredCandidate, plane_icp, score_candidates, select_lo
 from .planes import PlaneSet, build_voxel_map, classify_plane_voxels, grow_planes
 
 
+# Valid values of PipelineConfig fields: (fields, test, the rule in words).
+# A NaN fails every comparison, so a range test rejects it too.
+_RULES = (
+    (("mode",), lambda v: v in MODES, f"one of {', '.join(MODES)}"),
+    (("connectivity",), lambda v: v in (6, 26), "6 or 26"),
+    (("sigma_pc",), lambda v: 0 <= v <= 1, "in [0, 1]"),
+    (("sigma_n", "sigma_d", "delta_l", "delta_n", "inlier_tol"),
+     lambda v: 0 < v < math.inf, "finite and > 0"),
+    (("downsample_leaf", "gt_radius"), lambda v: 0 <= v < math.inf, "finite and >= 0"),
+    (("max_keypoints", "skip_recent", "degenerate_slack"), lambda v: v >= 0, ">= 0"),
+    (("n_accumulate", "iterations"), lambda v: v >= 1, ">= 1"),
+    (("k_neighbors",), lambda v: v >= 2, ">= 2 (a triangle needs two neighbours)"),
+)
+
+
 @dataclass
 class PipelineConfig:
     """Every tunable of the pipeline, with defaults that match the evaluated
@@ -62,24 +77,11 @@ class PipelineConfig:
     mode: str = "first"
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {', '.join(MODES)}; got {self.mode!r}")
-        if self.max_keypoints < 0:
-            raise ConfigError(f"max_keypoints must be >= 0; got {self.max_keypoints}")
-        if not self.degenerate_slack >= 0:
-            raise ConfigError(f"degenerate_slack must be >= 0; got {self.degenerate_slack}")
-        if self.connectivity not in (6, 26):
-            raise ConfigError(f"connectivity must be 6 or 26; got {self.connectivity}")
-        for name in ("delta_l", "delta_n"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be finite and > 0; got {getattr(self, name)}")
-        if self.n_accumulate < 1:
-            raise ConfigError(f"n_accumulate must be >= 1; got {self.n_accumulate}")
-        if self.skip_recent < 0:
-            raise ConfigError(f"skip_recent must be >= 0; got {self.skip_recent}")
-        if not 0 <= self.downsample_leaf < math.inf:
-            raise ConfigError(
-                f"downsample_leaf must be finite and >= 0; got {self.downsample_leaf}")
+        for names, valid, rule in _RULES:
+            for name in names:
+                value = getattr(self, name)
+                if not valid(value):
+                    raise ConfigError(f"{name} must be {rule}; got {value!r}")
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":

@@ -113,27 +113,18 @@ class VoxelMap:
         cells = np.asarray(cells, dtype=np.int64).reshape(-1, 3)
         rows = np.full(len(cells), -1, dtype=np.int64)
         inside = ((cells >= self._lo) & (cells <= self._hi)).all(axis=1)
-        rows[inside] = self._find(cells[inside] - self._lo)
+        keys = pack_offsets(cells[inside] - self._lo, self._dims)
+        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        rows[inside] = np.where(self.keys[pos] == keys, pos, -1)
         return rows
 
     def neighbors(self, offsets) -> np.ndarray:
         """(V, K) row of the voxel at each cell + offset, -1 where empty."""
-        rel = self.cells - self._lo
-        table = np.full((len(self), len(offsets)), -1, dtype=np.int64)
-        for k, off in enumerate(offsets):
-            moved = rel + np.asarray(off, dtype=np.int64)
-            inside = ((moved >= 0) & (moved < self._dims)).all(axis=1)
-            table[inside, k] = self._find(moved[inside])
-        return table
+        return np.stack([self.lookup(self.cells + off) for off in offsets], axis=1)
 
     def points_of(self, rows) -> np.ndarray:
         """Points of the given voxel rows, concatenated in row order."""
         return self.points[_segments(self.offsets, np.asarray(rows, dtype=np.int64))[0]]
-
-    def _find(self, rel: np.ndarray) -> np.ndarray:
-        keys = pack_offsets(rel, self._dims)
-        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
-        return np.where(self.keys[pos] == keys, pos, -1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -227,6 +227,19 @@ class TestSweep:
             assert code == 3, row
             assert "records.csv:3: " in capsys.readouterr().err, row
 
+    def test_gt_without_header_is_io_error(self, loop_run, tmp_path, capsys):
+        # a reader that skips line 1 unread would drop query 0's loops
+        _, _, _, _, out_dir = loop_run
+        gt = tmp_path / "gt.csv"
+        gt.write_text("".join((out_dir / "gt.csv").read_text().splitlines(True)[1:]))
+        code = main(
+            ["sweep", "--records", str(out_dir / "records.csv"), "--gt", str(gt),
+             "--out", str(tmp_path / "pr.csv")]
+        )
+        assert code == 3
+        assert "gt.csv:1: " in capsys.readouterr().err
+        assert not (tmp_path / "pr.csv").exists()
+
 
 class TestExitCodes:
     def test_missing_scan_dir_is_io_error(self, tmp_path):
@@ -278,7 +291,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("line", [
         "delta_l = 0", "delta_n = nan", "n_accumulate = 0", "skip_recent = -1",
-        "downsample_leaf = -1",
+        "downsample_leaf = -1", "gt_radius = nan", "sigma_pc = nan", "inlier_tol = -1",
+        "iterations = 0", "k_neighbors = 0", "sigma_n = nan", "sigma_d = nan",
     ])
     def test_value_that_crashes_or_miscounts_is_config_error(self, tmp_path, world, line):
         cfg_path = tmp_path / "run.cfg"

@@ -195,19 +195,46 @@ class TestCsvRoundTrip:
         write_gt_csv(path, gt)
         assert read_gt_csv(path) == gt
 
+    def test_extra_and_reordered_columns_read_by_name(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text(
+            "candidates,note,query_id,votes,overlap,detected_id,trans_err_m,rot_err_deg\n"
+            "1:9:0.700000,a,4,9,0.700000,1,0.5,2.0\n"
+        )
+        [back] = read_records_csv(path)
+        assert (back.query_id, back.detected_id, back.votes) == (4, 1, 9)
+        assert (back.rot_err_deg, back.trans_err_m) == (2.0, 0.5)
+        assert back.candidates == [CandidateScoreRow(1, 9, 0.7)]
+        path = tmp_path / "gt.csv"
+        path.write_text("loop_ids,query_id,radius\n0;1,5,20\n,0,20\n")
+        assert read_gt_csv(path) == {5: [0, 1], 0: []}
+
     def test_malformed_records_row_names_its_line(self, tmp_path):
         header = "query_id,detected_id,overlap,votes,rot_err_deg,trans_err_m,candidates\n"
         good = "0,,0.000000,0,,,\n"
-        bad_rows = ("1,,0.5,3", "1,,half,3,,,", "1,,0.5,3,,,2:3", "1,,0.5,3,,,2:x:0.5")
+        bad_rows = ("1,,0.5,3", "1,,half,3,,,", "1,,0.5,3,,,2:3", "1,,0.5,3,,,2:x:0.5",
+                    "1,,0.5,3,,,2:3:0.5,extra", "", "0,,0.5,3,,,")
         for row in bad_rows:
             path = tmp_path / "records.csv"
             path.write_text(header + good + row + "\n")
             with pytest.raises(MalformedRecord, match="records.csv:3: "):
                 read_records_csv(path)
+        # a foreign header of the same width, or none at all
+        for text in ("a,b,c,d,e,f,g\n" + good, good + "1,,0.5,3,,,\n"):
+            path.write_text(text)
+            with pytest.raises(MalformedRecord, match="records.csv:1: "):
+                read_records_csv(path)
 
     def test_malformed_gt_row_names_its_line(self, tmp_path):
-        for row in ("x,1", "2,1;y"):
-            path = tmp_path / "gt.csv"
+        path = tmp_path / "gt.csv"
+        for row in ("x,1", "2,1;y", "5", "", "0,1", "2,1,0"):
             path.write_text(f"query_id,loop_ids\n0,\n{row}\n")
             with pytest.raises(MalformedRecord, match="gt.csv:3: "):
+                read_gt_csv(path)
+        # no header, whose first row was read as one, a foreign one, or one
+        # that names a column twice
+        for text in ("0,\n5,0\n", "frame,loops\n0,\n5,0\n",
+                     "query_id,loop_ids,loop_ids\n0,,\n5,0,1\n"):
+            path.write_text(text)
+            with pytest.raises(MalformedRecord, match="gt.csv:1: "):
                 read_gt_csv(path)

@@ -82,6 +82,12 @@ class TestConfig:
         ("delta_l", "0"), ("delta_l", "inf"), ("delta_n", "nan"), ("delta_n", "-0.1"),
         ("n_accumulate", "0"), ("n_accumulate", "-3"), ("skip_recent", "-1"),
         ("downsample_leaf", "-1"), ("downsample_leaf", "nan"),
+        ("gt_radius", "nan"), ("gt_radius", "-1"), ("gt_radius", "inf"),
+        ("sigma_pc", "nan"), ("sigma_pc", "-0.1"), ("sigma_pc", "1.5"),
+        ("inlier_tol", "-1"), ("inlier_tol", "0"), ("inlier_tol", "nan"), ("inlier_tol", "inf"),
+        ("iterations", "0"), ("iterations", "-1"), ("k_neighbors", "0"), ("k_neighbors", "1"),
+        ("sigma_n", "nan"), ("sigma_n", "0"), ("sigma_d", "nan"), ("sigma_d", "-0.3"),
+        ("sigma_d", "inf"),
     ])
     def test_values_that_crash_or_miscount_rejected(self, tmp_path, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -94,6 +100,9 @@ class TestConfig:
     def test_boundary_values_accepted(self):
         cfg = PipelineConfig(n_accumulate=1, skip_recent=0, downsample_leaf=0.0)
         assert (cfg.n_accumulate, cfg.skip_recent, cfg.downsample_leaf) == (1, 0, 0.0)
+        cfg = PipelineConfig(gt_radius=0.0, sigma_pc=1.0, iterations=1, k_neighbors=2)
+        assert (cfg.gt_radius, cfg.sigma_pc, cfg.iterations, cfg.k_neighbors) == (0.0, 1.0, 1, 2)
+        assert PipelineConfig(sigma_pc=0.0).sigma_pc == 0.0
 
     def test_negative_or_nan_degenerate_slack_rejected(self, tmp_path):
         for slack in (-0.1, float("nan")):
