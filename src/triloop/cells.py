@@ -6,11 +6,12 @@ ascending key order is ascending (ix, iy, iz) order and grouping by cell is a
 1-D sort. Cells that do not fit an int64, or a box too large for the packed
 key, raise CellOutOfRange instead of wrapping around.
 
-``cell_means`` groups points by cell and averages each group.
+``cell_means`` groups points by cell and averages each group. A
+triangle's quantized side triple is packed the same way, so its key orders
+and deduplicates a frame's triangles.
 
 Rows of six 64-bit words (a descriptor's cells, a key point's position and
-normal) are hashed with ``mix_words``, and ``stable_argsort`` orders keys
-stably from one unstable sort.
+normal) are hashed with ``mix_words``.
 """
 
 from __future__ import annotations
@@ -99,23 +100,3 @@ def mix_words(words) -> np.ndarray:
         h |= term
     return h
 
-
-def stable_argsort(keys: np.ndarray) -> np.ndarray:
-    """``np.argsort(keys, kind="stable")``, from one unstable sort.
-
-    An unstable sort puts each run of equal keys in place but in any order;
-    sorting only the rows inside such runs by (run, index) restores index
-    order within each run, which is what a stable sort gives.
-    """
-    order = np.argsort(keys)
-    ordered = keys[order]
-    starts = np.ones(len(order), dtype=bool)  # row begins a run of equal keys
-    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    if starts.all():
-        return order
-    tied = ~starts  # rows in runs of two or more
-    tied[:-1] |= tied[1:]
-    positions = np.flatnonzero(tied)
-    run = np.cumsum(starts)[positions]
-    order[positions] = np.sort(run * len(order) + order[positions]) % len(order)
-    return order

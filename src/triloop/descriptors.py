@@ -23,7 +23,7 @@ from itertools import permutations
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cells import mix_words, pack_cells, stable_argsort
+from .cells import mix_words, pack_cells
 from .keypoints import KeyPoint
 
 log = logging.getLogger(__name__)
@@ -242,7 +242,9 @@ def build_descriptors(
     """Form deduplicated canonical triangles from key-point neighborhoods.
 
     Key points are processed in lexicographic position order, so the result
-    depends only on the key-point multiset. Rows are sorted by side triple.
+    depends only on the key-point multiset. Rows come in ascending order of
+    their quantized side triple (sides over dedup_resolution, rounded), which
+    deduplication leaves unique per row.
 
     An anchor's neighbors are its k nearest as returned by cKDTree.query.
     When several points tie at the k-th distance, the ones kept are the
@@ -250,10 +252,14 @@ def build_descriptors(
     k=20 this gives 331 descriptors where index-order ties would give 327.
 
     Raises ValueError for a negative or NaN degenerate_slack: a slack >= 0
-    drops every triangle with a repeated point (sides 0, l, l).
+    drops every triangle with a repeated point (sides 0, l, l). Raises
+    ValueError unless dedup_resolution is finite and > 0: at 0 or NaN every
+    triangle would share one quantized triple.
     """
     if not degenerate_slack >= 0:
         raise ValueError(f"degenerate_slack must be >= 0, got {degenerate_slack}")
+    if not 0 < dedup_resolution < np.inf:
+        raise ValueError(f"dedup_resolution must be finite and > 0, got {dedup_resolution}")
     if len(keypoints) < 3:
         log.warning("frame %d: %d key points, need 3 for descriptors", frame_id, len(keypoints))
         return DescriptorFrame.empty(frame_id)
@@ -290,13 +296,14 @@ def build_descriptors(
         return DescriptorFrame.empty(frame_id)
     lengths = np.stack([col[keep] for col in lengths], axis=1)
 
-    # first occurrence per quantized side triple, in enumeration order: the
-    # lowest candidate index of each run of equal keys; the triples are packed
-    # into int64 keys like grid cells (CellOutOfRange past the int64 range)
+    # first occurrence per quantized side triple, in key order: the lowest
+    # candidate index of each run of equal keys. The triples are packed into
+    # int64 keys like grid cells (CellOutOfRange past the int64 range), so
+    # key order is ascending triple order and no two rows share a key.
     key = pack_cells(np.round(lengths / dedup_resolution).astype(np.int64))
     by_key = np.argsort(key)
     run_starts = np.flatnonzero(np.diff(key[by_key], prepend=-1))
-    unique = np.sort(np.minimum.reduceat(by_key, run_starts))
+    unique = np.minimum.reduceat(by_key, run_starts)
     first, lengths = keep[unique], lengths[unique]
 
     # vertex order: the three key-point ids sorted (first_nbr < second_nbr
@@ -313,40 +320,9 @@ def build_descriptors(
     at_most = {(x, y): opposite[x] <= opposite[y] for x, y in permutations(range(3), 2)}
     ascending = [at_most[c, a] & at_most[a, b] for a, b, c in permutations(range(3))]
     vertex_ids = np.take_along_axis(ids, _ORDERS[np.argmax(ascending, axis=0)], axis=1)
-
-    # sort by side triple; deduplication left no two rows with equal sides,
-    # so the vertex coordinates never break a tie
-    by_sides = side_order(lengths)
-    vertex_ids = vertex_ids[by_sides].astype(np.int32)
-    lengths = lengths[by_sides]
+    vertex_ids = vertex_ids.astype(np.int32)
     return DescriptorFrame(positions, normals, vertex_ids,
                            frame_signatures(lengths, normals[vertex_ids]), frame_id)
-
-
-_RANK_BITS = 21  # three ranks fill the 63 value bits of an int64
-
-
-def side_order(lengths: np.ndarray) -> np.ndarray:
-    """``np.lexsort(lengths.T[::-1])`` of (M, 3) finite side triples: rows
-    by first, then second, then third side, equal rows in index order.
-
-    All 3M values are dense-ranked with one sort, and a row's three ranks
-    packed into one int64 key are sorted stably; past 2**21 distinct values
-    the ranks do not fit the key and the lexsort runs instead.
-    """
-    values = lengths.ravel()
-    by_value = np.argsort(values)
-    ordered = values[by_value]
-    new = np.empty(len(values), dtype=bool)  # sorted value differs from the last
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    if np.count_nonzero(new) > 1 << _RANK_BITS:
-        return np.lexsort(lengths.T[::-1])
-    ranks = np.empty(len(values), dtype=np.int64)
-    ranks[by_value] = np.cumsum(new) - 1
-    ranks = ranks.reshape(-1, 3)
-    return stable_argsort((ranks[:, 0] << 2 * _RANK_BITS) | (ranks[:, 1] << _RANK_BITS)
-                          | ranks[:, 2])
 
 
 def _distance_matrix(positions: np.ndarray) -> np.ndarray:

@@ -44,7 +44,7 @@ class UnsupportedFormat(TriloopError):
 
 
 class NonPositiveLeaf(TriloopError, ValueError):
-    """Voxel/pixel size must be strictly positive."""
+    """Voxel/pixel size must be strictly positive (NaN is rejected too)."""
 
 
 class DuplicateFrame(TriloopError):

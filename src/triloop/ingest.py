@@ -182,7 +182,7 @@ def voxel_downsample(cloud, leaf: float) -> np.ndarray:
     deterministic regardless of input order. Each centroid is summed in input
     order. Raises CellOutOfRange when a cell does not fit an int64 key.
     """
-    if leaf <= 0:
+    if not leaf > 0:
         raise NonPositiveLeaf(f"leaf must be > 0, got {leaf}")
     pts = np.asarray(cloud, dtype=np.float64)
     if len(pts) == 0:

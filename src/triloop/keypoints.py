@@ -136,7 +136,7 @@ def _raster(
     distance (-inf where empty) and the point holding it: the lowest index
     among the points at the maximum, -1 where empty.
     """
-    if pixel_size <= 0:
+    if not pixel_size > 0:
         raise NonPositiveLeaf(f"pixel_size must be > 0, got {pixel_size}")
     pix = np.floor(uv / pixel_size).astype(np.int64)
     starts = bounds[:-1]

@@ -30,10 +30,13 @@ _RULES = (
     (("mode",), lambda v: v in MODES, f"one of {', '.join(MODES)}"),
     (("connectivity",), lambda v: v in (6, 26), "6 or 26"),
     (("sigma_pc",), lambda v: 0 <= v <= 1, "in [0, 1]"),
-    (("sigma_n", "sigma_d", "delta_l", "delta_n", "inlier_tol"),
+    (("voxel_size", "sigma1", "sigma_n", "sigma_d", "delta_l", "delta_n", "pixel_size",
+      "inlier_tol", "normal_merge_tol", "dist_merge_tol", "dedup_resolution",
+      "refine_sigma_n", "refine_sigma_d"),
      lambda v: 0 < v < math.inf, "finite and > 0"),
-    (("downsample_leaf", "gt_radius"), lambda v: 0 <= v < math.inf, "finite and >= 0"),
-    (("max_keypoints", "skip_recent", "degenerate_slack"), lambda v: v >= 0, ">= 0"),
+    (("sigma2", "min_dist", "downsample_leaf", "gt_radius", "min_side"),
+     lambda v: 0 <= v < math.inf, "finite and >= 0"),
+    (("max_keypoints", "skip_recent", "seed", "degenerate_slack"), lambda v: v >= 0, ">= 0"),
     (("n_accumulate", "iterations"), lambda v: v >= 1, ">= 1"),
     (("k_neighbors",), lambda v: v >= 2, ">= 2 (a triangle needs two neighbours)"),
 )

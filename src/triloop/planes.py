@@ -196,7 +196,7 @@ def build_voxel_map(cloud, voxel_size: float) -> VoxelMap:
     the eigendecomposition and can never classify as planes. Raises
     CellOutOfRange when a cell does not fit an int64 key.
     """
-    if voxel_size <= 0:
+    if not voxel_size > 0:
         raise NonPositiveLeaf(f"voxel_size must be > 0, got {voxel_size}")
     pts = np.asarray(cloud, dtype=np.float64)
     if len(pts) == 0:

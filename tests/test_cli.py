@@ -292,7 +292,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("line", [
         "delta_l = 0", "delta_n = nan", "n_accumulate = 0", "skip_recent = -1",
         "downsample_leaf = -1", "gt_radius = nan", "sigma_pc = nan", "inlier_tol = -1",
-        "iterations = 0", "k_neighbors = 0", "sigma_n = nan", "sigma_d = nan",
+        "iterations = 0", "k_neighbors = 0", "sigma_n = nan", "sigma_d = nan", "seed = -1",
+        "voxel_size = nan", "sigma1 = nan", "dedup_resolution = 0", "dist_merge_tol = nan",
     ])
     def test_value_that_crashes_or_miscounts_is_config_error(self, tmp_path, world, line):
         cfg_path = tmp_path / "run.cfg"

@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from triloop.cells import stable_argsort
 from triloop.database import DescriptorDatabase, frame_keys
 from triloop.descriptors import (
     DescriptorFrame,
@@ -358,30 +357,6 @@ def test_insert_after_interleaved_queries_indexes_its_own_keys():
         assert db.vote_counts(frame) == brute_force_votes(stored, frame, db.delta_l, db.delta_n)
     for f, frame in enumerate(frames):
         assert db.vote_counts(frame)[f] == len(frame)
-
-
-class TestStableArgsort:
-    @pytest.mark.parametrize("keys", [
-        np.empty(0, dtype=np.uint64),
-        np.array([7], dtype=np.uint64),
-        np.array([3, 3], dtype=np.uint64),
-        np.full(50, 2**64 - 1, dtype=np.uint64),
-    ])
-    def test_small_inputs(self, keys):
-        assert np.array_equal(stable_argsort(keys), np.argsort(keys, kind="stable"))
-
-    @pytest.mark.parametrize("distinct", [1, 2, 5, 300, 20_000])
-    def test_heavy_ties_equal_a_stable_sort(self, distinct):
-        rng = np.random.default_rng(distinct)
-        values = rng.integers(0, 2**64, size=distinct, dtype=np.uint64)
-        keys = values[rng.integers(0, distinct, size=20_000)]
-        assert np.array_equal(stable_argsort(keys), np.argsort(keys, kind="stable"))
-
-    def test_frame_bucket_keys(self):
-        frame = keypoint_frame(np.random.default_rng(33), 0, n_keypoints=80)
-        _, buckets = frame_keys(frame.signatures, 0.2, 0.1)
-        assert len(np.unique(buckets)) < len(buckets)  # the frame has shared cells
-        assert np.array_equal(stable_argsort(buckets), np.argsort(buckets, kind="stable"))
 
 
 def keypoint_frame(rng, frame_id, n_keypoints=40):

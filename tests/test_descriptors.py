@@ -5,7 +5,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 import triloop.descriptors
-from triloop.descriptors import DescriptorFrame, build_descriptors, side_order
+from triloop.descriptors import DescriptorFrame, build_descriptors
 from triloop.geometry import RigidTransform, random_rotation
 from triloop.keypoints import KeyPoint
 
@@ -77,9 +77,10 @@ def oracle_descriptors(kps, k_neighbors, min_side=0.5, slack=0.1, resolution=0.0
                         "vertices": pos[list(perm)],
                         "normals": nrm[list(perm)],
                         "sides": tuple(sides),
+                        "triple": triple,
                     }
                 )
-    out.sort(key=lambda d: (d["sides"], tuple(map(tuple, d["vertices"]))))
+    out.sort(key=lambda d: d["triple"])
     return out
 
 
@@ -191,6 +192,13 @@ def test_negative_or_nan_slack_rejected():
     assert len(build_descriptors(repeated, 20, min_side=0.0, degenerate_slack=0.0)) == 0
 
 
+def test_bad_dedup_resolution_rejected():
+    kps = make_kps([[0, 0, 0], [3, 0, 0], [3, 4, 0], [0, 4, 0]])
+    for resolution in (0.0, -0.01, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="dedup_resolution"):
+            build_descriptors(kps, 20, dedup_resolution=resolution)
+
+
 def test_canonical_side_order_and_vertex_consistency():
     rng = np.random.default_rng(1)
     kps = make_kps(rng.uniform(0, 20, size=(25, 3)))
@@ -211,6 +219,7 @@ def test_no_duplicate_quantized_triples():
     descs = build_descriptors(kps, k_neighbors=15)
     triples = [tuple(int(round(s / 0.01)) for s in d.sides) for d in descs]
     assert len(triples) == len(set(triples))
+    assert all(a < b for a, b in zip(triples, triples[1:]))  # rows in triple order
 
 
 def test_deterministic_under_input_permutation():
@@ -281,34 +290,6 @@ def random_frame(rng, n_keypoints=140, frame_id=0):
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-class TestSideOrder:
-    """``side_order`` sorts rows by side triple with one argsort of packed
-    dense ranks and must equal ``np.lexsort``, ties included."""
-
-    def inputs(self):
-        rng = np.random.default_rng(40)
-        tied = rng.integers(0, 4, size=(2000, 3)).astype(np.float64) * 0.5
-        tied[::7] = tied[3]  # whole rows repeated, so the index order shows
-        lattice = np.sort(np.linalg.norm(
-            lattice_points(rng, 60)[rng.integers(60, size=(3000, 3))]
-            - lattice_points(rng, 60)[rng.integers(60, size=(3000, 3))], axis=2), axis=1)
-        yield "random", np.sort(rng.uniform(0.5, 30.0, size=(5000, 3)), axis=1)
-        yield "tied components", tied
-        yield "lattice", lattice
-        yield "signed zeros", np.array([[0.0, 1.0, 2.0], [-0.0, 1.0, 2.0], [0.0, -0.0, 1.0]])
-        yield "one row", np.array([[1.0, 2.0, 3.0]])
-        yield "empty", np.empty((0, 3))
-
-    def test_equals_lexsort(self):
-        for name, lengths in self.inputs():
-            assert np.array_equal(side_order(lengths), np.lexsort(lengths.T[::-1])), name
-
-    def test_too_many_ranks_falls_back_to_lexsort(self, monkeypatch):
-        monkeypatch.setattr(triloop.descriptors, "_RANK_BITS", 3)
-        for name, lengths in self.inputs():
-            assert np.array_equal(side_order(lengths), np.lexsort(lengths.T[::-1])), name
 
 
 class TestCompactFrame:

@@ -270,8 +270,9 @@ class TestVoxelDownsample:
         assert cells == sorted(cells)
 
     def test_rejects_bad_leaf(self):
-        with pytest.raises(NonPositiveLeaf):
-            voxel_downsample(np.zeros((1, 3)), 0.0)
+        for leaf in (0.0, float("nan")):
+            with pytest.raises(NonPositiveLeaf):
+                voxel_downsample(np.zeros((1, 3)), leaf)
 
     def test_out_of_range_cells_raise(self):
         # cells beyond int64: casting would wrap both far points to INT64_MIN

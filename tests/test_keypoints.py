@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from triloop.errors import NonPositiveLeaf
 from triloop.geometry import RigidTransform, random_rotation
 from triloop.keypoints import (
     _boundary_points,
@@ -63,6 +64,11 @@ class TestProjection:
         planes, voxmap = make_plane_scene([0, 0, 0], [0, 0, 1], [[0.7, -0.3, 0.0]])
         [kp] = keyframe_keypoints(planes, voxmap, min_dist=0.0)
         assert abs(kp.strength) < 1e-12
+
+    def test_nan_pixel_size_rejected(self):
+        planes, voxmap = make_plane_scene([0, 0, 0], [0, 0, 1], [[0.7, -0.3, 0.0]])
+        with pytest.raises(NonPositiveLeaf):
+            keyframe_keypoints(planes, voxmap, pixel_size=float("nan"), min_dist=0.0)
 
     def test_pure_normal_offset(self):
         planes, voxmap = make_plane_scene([1, 2, 3], [0, 0, 1], [[1.0, 2.0, 3.5]])

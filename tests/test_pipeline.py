@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import importlib.util
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 import triloop
 from triloop.errors import ConfigError
-from triloop.pipeline import MatchingSession, PipelineConfig, extract_frame
+from triloop.pipeline import _RULES, MatchingSession, PipelineConfig, extract_frame
 
 from worlds import build_keyframes, loop_trajectory, main_world
 
@@ -87,7 +88,14 @@ class TestConfig:
         ("inlier_tol", "-1"), ("inlier_tol", "0"), ("inlier_tol", "nan"), ("inlier_tol", "inf"),
         ("iterations", "0"), ("iterations", "-1"), ("k_neighbors", "0"), ("k_neighbors", "1"),
         ("sigma_n", "nan"), ("sigma_n", "0"), ("sigma_d", "nan"), ("sigma_d", "-0.3"),
-        ("sigma_d", "inf"),
+        ("sigma_d", "inf"), ("voxel_size", "nan"), ("voxel_size", "0"), ("pixel_size", "nan"),
+        ("pixel_size", "-0.5"), ("sigma1", "nan"), ("sigma1", "0"), ("sigma2", "nan"),
+        ("sigma2", "-0.05"), ("min_dist", "nan"), ("min_dist", "-1"), ("min_side", "nan"),
+        ("min_side", "inf"), ("dedup_resolution", "nan"), ("dedup_resolution", "0"),
+        ("dedup_resolution", "-0.01"), ("normal_merge_tol", "nan"), ("normal_merge_tol", "0"),
+        ("dist_merge_tol", "nan"), ("dist_merge_tol", "inf"), ("refine_sigma_n", "nan"),
+        ("refine_sigma_n", "0"), ("refine_sigma_d", "nan"), ("refine_sigma_d", "-0.1"),
+        ("seed", "-1"),
     ])
     def test_values_that_crash_or_miscount_rejected(self, tmp_path, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -103,6 +111,13 @@ class TestConfig:
         cfg = PipelineConfig(gt_radius=0.0, sigma_pc=1.0, iterations=1, k_neighbors=2)
         assert (cfg.gt_radius, cfg.sigma_pc, cfg.iterations, cfg.k_neighbors) == (0.0, 1.0, 1, 2)
         assert PipelineConfig(sigma_pc=0.0).sigma_pc == 0.0
+        cfg = PipelineConfig(sigma2=0.0, min_dist=0.0, min_side=0.0, seed=0)
+        assert (cfg.sigma2, cfg.min_dist, cfg.min_side, cfg.seed) == (0.0, 0.0, 0.0, 0)
+
+    def test_every_float_field_has_a_rule(self):
+        ruled = {name for names, _, _ in _RULES for name in names}
+        floats = {f.name for f in dataclasses.fields(PipelineConfig) if f.type == "float"}
+        assert floats and floats <= ruled, sorted(floats - ruled)
 
     def test_negative_or_nan_degenerate_slack_rejected(self, tmp_path):
         for slack in (-0.1, float("nan")):

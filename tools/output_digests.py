@@ -9,12 +9,16 @@ For each seed, every sequence that ``perfbench/loop_replay.py`` replays at
 that seed (same yard, path and config, imported from there) is written to a
 temporary directory and run once through ``evaluation.run_sequence``. One
 line per sequence gives the sha256 of its ``records.csv``, ``gt.csv`` and
-``pr.csv``, and ``frames=``, one sha256 over the ``DescriptorFrame`` columns
+``pr.csv``; ``frames=``, one sha256 over the ``DescriptorFrame`` columns
 (``positions``, ``point_normals``, ``vertex_ids``, ``signatures``) that
-``pipeline.extract_frame`` returned for every keyframe of the sequence.
-Running the same command in two checkouts and comparing the lines shows
-whether a change keeps those outputs, and the descriptors behind them, byte
-for byte. triloop is imported from the checkout's ``src/``.
+``pipeline.extract_frame`` returned for every keyframe of the sequence; and
+``scores=``, the sha256 of ``records.csv`` without its pose-error columns
+(``rot_err_deg``, ``trans_err_m``). Running the same command in two
+checkouts and comparing the lines shows whether a change keeps those
+outputs, and the descriptors behind them, byte for byte; where only
+``records.csv`` differs, ``scores=`` tells a change of pose digits from a
+change of detections, votes or overlaps. triloop is imported from the
+checkout's ``src/``.
 """
 
 import os
@@ -25,6 +29,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import csv  # noqa: E402
 import hashlib  # noqa: E402
 import shutil  # noqa: E402
 import sys  # noqa: E402
@@ -53,6 +58,17 @@ def _seeds(spec: str) -> range:
 
 
 FRAME_COLUMNS = ("positions", "point_normals", "vertex_ids", "signatures")
+POSE_COLUMNS = ("rot_err_deg", "trans_err_m")
+
+
+def scores_digest(records_csv: Path) -> str:
+    """sha256 of a records.csv with its POSE_COLUMNS left out, one line per
+    row, fields joined by commas."""
+    with open(records_csv, newline="") as f:
+        rows = list(csv.reader(f))
+    keep = [i for i, name in enumerate(rows[0]) if name not in POSE_COLUMNS]
+    text = "".join(",".join(row[i] for i in keep) + "\n" for row in rows)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def hashing_frames(digest):
@@ -73,7 +89,8 @@ def hashing_frames(digest):
 
 def sequence_digests(seed: int, work: Path):
     """(sequence, {output name: sha256}) of each loop_replay sequence of one
-    seed, the descriptor frames under ``frames``."""
+    seed, the descriptor frames under ``frames`` and records.csv without its
+    pose errors under ``scores``."""
     poses = synthetic.out_and_back_poses(**loop_replay.PATH)
     boxes = fixed_boxes(loop_replay.EXTENT, loop_replay.N_BOXES)
     cfg = pipeline.PipelineConfig(seed=seed, **loop_replay.CONFIG)
@@ -87,6 +104,7 @@ def sequence_digests(seed: int, work: Path):
             evaluation.run_sequence(cfg, *sequence, out_dir=base / "out")
         hashes = loop_replay.output_hashes(base / "out")
         hashes["frames"] = digest.hexdigest()
+        hashes["scores"] = scores_digest(base / "out" / "records.csv")
         shutil.rmtree(base)
         yield k, hashes
 
