@@ -292,7 +292,9 @@ def plane_icp(
     update_tol: float = 1e-6,
 ) -> RigidTransform:
     """Refine a transform by minimizing plane-pair normal and point-to-plane
-    residuals with damped Gauss-Newton on a 6-dof local perturbation.
+    residuals on a 6-dof local perturbation, one Gauss-Newton step per pose:
+    the least-squares solution of the linearised residuals, minimum-norm where
+    the planes leave a direction unobservable, kept unless it raises the cost.
 
     Pairs are associated by nearest center once per pose and gated by the
     same sigma_n / sigma_d tests used for overlap scoring. Never returns a
@@ -328,7 +330,6 @@ def plane_icp(
     initial_cost = cost(*residuals(initial, *association)[:2])
 
     T = initial
-    damping = 1e-6
     for _ in range(max_iterations):
         rn, rd, centers, normals, tgt_n = residuals(T, *association)
 
@@ -343,20 +344,11 @@ def plane_icp(
         J[n_pairs * 3 :, 0:3] = np.cross(rotated_centers, tgt_n) / sigma_d
         J[n_pairs * 3 :, 3:6] = tgt_n / sigma_d
 
-        current_cost = cost(rn, rd)
-        step_taken = False
-        for _ in range(8):
-            H = J.T @ J + damping * np.eye(6)
-            delta = np.linalg.solve(H, -J.T @ r)
-            T_try = _apply_perturbation(T, delta)
-            if cost(*residuals(T_try, *association)[:2]) <= current_cost:
-                T = T_try
-                damping = max(damping / 3.0, 1e-9)
-                step_taken = True
-                break
-            damping *= 10.0
-        if not step_taken:
+        delta = np.linalg.lstsq(J, -r, rcond=None)[0]
+        T_try = _apply_perturbation(T, delta)
+        if cost(*residuals(T_try, *association)[:2]) > cost(rn, rd):
             break
+        T = T_try
         association = associate(T)
         if int(association[0].sum()) < MIN_REFINE_PAIRS:
             return initial

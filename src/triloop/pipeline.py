@@ -182,8 +182,10 @@ def extract_frame(cloud: np.ndarray, frame_id: int, cfg: PipelineConfig) -> Fram
 @dataclass
 class KeyframeOutcome:
     """What one replayed keyframe produced: extraction, candidate scores, the
-    accepted loop (if any) with its plane-ICP pose (None when refinement is
-    off or fell back), and per-stage wall times in milliseconds."""
+    accepted loop (if any) with its plane-ICP pose, and per-stage wall times
+    in milliseconds. The pose is None when refinement is off or plane_icp
+    raised, and the loop's RANSAC transform itself when plane_icp returned
+    its start."""
 
     extraction: FrameExtraction
     scored: list[ScoredCandidate]

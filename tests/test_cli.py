@@ -101,7 +101,7 @@ class TestRun:
         # summary.json and timings.csv carry wall times and are left out.
         _, _, _, _, out_dir = loop_run
         pinned = {
-            "records.csv": "e08da2424567c20791553762525d9165b37fea6776b436b0a43f6e8a43e9d301",
+            "records.csv": "7e82d37e0cbd97377d2bfe91df0e597f47e86052a08cc3c049b11d72e076a64f",
             "gt.csv": "b255c51dd0335551e991bfaf5212f9c9c110c4bbd67672c64f425b11a8104f7a",
             "pr.csv": "719668d59a829be3700360ac074c578c93778a044d1424ce42ed367406af5d40",
         }

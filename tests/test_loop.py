@@ -642,6 +642,47 @@ class TestPlaneIcp:
         cost = self.independent_cost
         assert cost(current, candidate, refined) <= cost(current, candidate, start) + 1e-12
 
+    def test_unobservable_direction_keeps_its_offset(self):
+        # normals along z and x only: translation along the candidate's image
+        # of y moves no residual, so a start off along it keeps that offset
+        lattice = np.stack(np.meshgrid(*[np.arange(-4.0, 8.0, 4.0)] * 3, indexing="ij"), -1)
+        centers = lattice.reshape(-1, 3)
+        axes = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        current = plane_set(centers, axes[np.arange(len(centers)) % 2])
+        truth = RigidTransform(rotation_about_axis([1.0, 2.0, 3.0], np.radians(4.0)),
+                               np.array([0.2, -0.1, 0.3]))
+        candidate = transform_planes(current, truth)
+        nudge = RigidTransform(rotation_about_axis([2.0, -1.0, 1.0], np.radians(0.5)),
+                               truth.R @ np.array([0.05, 0.0, -0.04]))
+        start = nudge.compose(truth)
+        start = RigidTransform(start.R, start.t + 0.3 * truth.R[:, 1])
+        refined = plane_icp(current, candidate, start)
+        assert np.all(np.isfinite(refined.R)) and np.all(np.isfinite(refined.t))
+        error, unobservable = refined.t - truth.t, truth.R[:, 1]
+        assert np.all(np.abs(error @ (truth.R @ axes.T)) < 1e-6)
+        assert abs((error - (start.t - truth.t)) @ unobservable) < 1e-6
+        assert rotation_angle_deg(truth.R.T @ refined.R) < 1e-4
+        cost = self.independent_cost
+        assert cost(current, candidate, refined) <= cost(current, candidate, start) + 1e-12
+
+    def test_too_few_pairs_after_a_step_return_the_start(self, monkeypatch):
+        from triloop import loop
+
+        associate, calls = loop._associate, []
+
+        def thinned_after_first(*args, **kwargs):
+            mask, nearest, signs = associate(*args, **kwargs)
+            calls.append(int(mask.sum()))
+            if len(calls) > 1:
+                mask = mask & (np.cumsum(mask) < loop.MIN_REFINE_PAIRS)
+            return mask, nearest, signs
+
+        monkeypatch.setattr(loop, "_associate", thinned_after_first)
+        current, candidate, start = self.nudged_start(np.random.default_rng(16))
+        refined = plane_icp(current, candidate, start)
+        assert len(calls) == 2 and calls[0] >= loop.MIN_REFINE_PAIRS
+        assert np.array_equal(refined.R, start.R) and np.array_equal(refined.t, start.t)
+
     def test_insufficient_overlap_raises(self):
         rng = np.random.default_rng(17)
         current, candidate, truth = self.planted(rng, n=30)

@@ -17,8 +17,11 @@ line per sequence gives the sha256 of its ``records.csv``, ``gt.csv`` and
 checkouts and comparing the lines shows whether a change keeps those
 outputs, and the descriptors behind them, byte for byte; where only
 ``records.csv`` differs, ``scores=`` tells a change of pose digits from a
-change of detections, votes or overlaps. triloop is imported from the
-checkout's ``src/``.
+change of detections, votes or overlaps. A closing line sums the quality
+of every sequence replayed: TP/FP/FN, a detection being true when its id is
+one of the query's ground-truth loops in ``gt.csv``, and the p50/p90 of
+``trans_err_m`` and ``rot_err_deg`` over the true detections. triloop is
+imported from the checkout's ``src/``.
 """
 
 import os
@@ -71,6 +74,36 @@ def scores_digest(records_csv: Path) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def sequence_quality(out_dir: Path) -> dict:
+    """TP/FP/FN of a replay's records.csv against its gt.csv, and the pose
+    errors of its true detections."""
+    gt = evaluation.read_gt_csv(out_dir / "gt.csv")
+    quality = {"tp": 0, "fp": 0, "fn": 0, "trans_err_m": [], "rot_err_deg": []}
+    for record in evaluation.read_records_csv(out_dir / "records.csv"):
+        loops = gt.get(record.query_id, [])
+        if record.detected_id is None:
+            quality["fn"] += bool(loops)
+        elif record.detected_id in loops:
+            quality["tp"] += 1
+            quality["trans_err_m"].append(record.trans_err_m)
+            quality["rot_err_deg"].append(record.rot_err_deg)
+        else:
+            quality["fp"] += 1
+    return quality
+
+
+def quality_line(qualities) -> str:
+    """One line over the sequence_quality of several replays: summed
+    TP/FP/FN and the p50/p90 of each pose error over all true detections."""
+    fields = [f"sequences={len(qualities)}"]
+    fields += [f"{name}={sum(q[name] for q in qualities)}" for name in ("tp", "fp", "fn")]
+    for name in ("trans_err_m", "rot_err_deg"):
+        errors = [e for q in qualities for e in q[name]]
+        fields += [f"{name}_p{p}={np.percentile(errors, p):.6g}" if errors else f"{name}_p{p}=-"
+                   for p in (50, 90)]
+    return "quality " + " ".join(fields)
+
+
 def hashing_frames(digest):
     """``pipeline.extract_frame`` that also feeds the shape and bytes of each
     returned frame's columns to ``digest``."""
@@ -87,10 +120,11 @@ def hashing_frames(digest):
     return extract_frame
 
 
-def sequence_digests(seed: int, work: Path):
+def sequence_digests(seed: int, work: Path, qualities: list | None = None):
     """(sequence, {output name: sha256}) of each loop_replay sequence of one
     seed, the descriptor frames under ``frames`` and records.csv without its
-    pose errors under ``scores``."""
+    pose errors under ``scores``. Each sequence's sequence_quality is appended
+    to ``qualities`` when it is given."""
     poses = synthetic.out_and_back_poses(**loop_replay.PATH)
     boxes = fixed_boxes(loop_replay.EXTENT, loop_replay.N_BOXES)
     cfg = pipeline.PipelineConfig(seed=seed, **loop_replay.CONFIG)
@@ -105,6 +139,8 @@ def sequence_digests(seed: int, work: Path):
         hashes = loop_replay.output_hashes(base / "out")
         hashes["frames"] = digest.hexdigest()
         hashes["scores"] = scores_digest(base / "out" / "records.csv")
+        if qualities is not None:
+            qualities.append(sequence_quality(base / "out"))
         shutil.rmtree(base)
         yield k, hashes
 
@@ -114,12 +150,14 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=_seeds, default=_seeds("0"),
                         help="workload seeds as A-B (inclusive) or A (default 0)")
     args = parser.parse_args(argv)
+    qualities = []
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
-            for k, hashes in sequence_digests(seed, Path(tmp)):
+            for k, hashes in sequence_digests(seed, Path(tmp), qualities):
                 print(f"seed {seed} seq {k} "
                       + " ".join(f"{name}={digest}" for name, digest in hashes.items()),
                       flush=True)
+    print(quality_line(qualities))
     return 0
 
 
