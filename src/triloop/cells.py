@@ -4,7 +4,9 @@ A point's cell is floor(p / size) per axis. Packing stores a cell as its
 offset from the cloud's minimum cell, row-major over the cloud's cell box, so
 ascending key order is ascending (ix, iy, iz) order and grouping by cell is a
 1-D sort. Cells that do not fit an int64, or a box too large for the packed
-key, raise CellOutOfRange instead of wrapping around.
+key, raise CellOutOfRange instead of wrapping around. Every float-to-int64
+cell cast of the pipeline goes through ``int64_cells``: point cells here,
+descriptor signature cells, key-point image pixels, quantized side triples.
 
 ``cell_means`` groups points by cell and averages each group. A
 triangle's quantized side triple is packed the same way, so its key orders
@@ -33,17 +35,19 @@ _MIX_CONSTANTS = (
 )
 
 
+def int64_cells(scaled: np.ndarray, what: str) -> np.ndarray:
+    """int64 of an array of floored or rounded floats. Raises CellOutOfRange,
+    its message led by `what`, when a value is not finite or lies outside the
+    int64 range, where the cast would give garbage."""
+    # a NaN makes min and max NaN, which fails both comparisons
+    if scaled.size and not (scaled.min() >= -2.0**63 and scaled.max() < 2.0**63):
+        raise CellOutOfRange(f"{what} span cells beyond the int64 range")
+    return scaled.astype(np.int64)
+
+
 def floor_cells(points: np.ndarray, size: float) -> np.ndarray:
     """(N, 3) int64 floor cells of (N, 3) points on a grid of edge `size`."""
-    scaled = np.floor(points / size)
-    if len(scaled) and not (
-        np.isfinite(scaled).all() and scaled.min() >= -2.0**63 and scaled.max() < 2.0**63
-    ):
-        raise CellOutOfRange(
-            f"points span cells beyond the int64 range at cell size {size} "
-            f"(coordinates from {np.min(points):.6g} to {np.max(points):.6g})"
-        )
-    return scaled.astype(np.int64)
+    return int64_cells(np.floor(points / size), f"points at cell size {size}")
 
 
 def cell_box(cells: np.ndarray) -> tuple[np.ndarray, tuple[int, int, int]]:

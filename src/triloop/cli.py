@@ -11,7 +11,6 @@ row, or a CSV header that lacks a column).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 
@@ -53,12 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scans", required=True, help="directory of .bin or .pcd scans")
     run.add_argument("--poses", required=True, help="pose file, one line per scan")
     run.add_argument("--out", required=True, help="output directory for CSV/JSON results")
-    run.add_argument(
-        "--downsample-leaf",
-        type=float,
-        default=None,
-        help="override pre-extraction downsample leaf (0 disables)",
-    )
 
     sweep = sub.add_parser("sweep", help="re-sweep acceptance thresholds on saved records")
     sweep.add_argument("--records", required=True, help="records.csv from a run")
@@ -102,8 +95,6 @@ def _parse_grid(spec: str) -> list[float]:
 
 def _cmd_run(args) -> int:
     cfg = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
-    if args.downsample_leaf is not None:
-        cfg = dataclasses.replace(cfg, downsample_leaf=args.downsample_leaf)
     result = run_sequence(cfg, args.scans, args.poses, out_dir=args.out)
     s = result.summary
     print(

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import mix_words
+from .cells import int64_cells, mix_words
 from .descriptors import DescriptorFrame, DescriptorPairs
 from .errors import DuplicateFrame, MalformedRecord
 
@@ -56,13 +56,15 @@ def frame_keys(
 
     Row for row equal to the scalar reference ``make_key`` in
     ``tests/scalar_descriptors.py``: the same floor arithmetic, and the same
-    mix in wrapping uint64 arithmetic.
+    mix in wrapping uint64 arithmetic. Raises CellOutOfRange when a cell does
+    not fit an int64, as a delta far too small for the signatures gives.
     """
     sig = np.asarray(signatures, dtype=np.float64).reshape(-1, 6)
     if not np.isfinite(sig).all():
         raise ValueError("descriptor signatures must be finite")
     deltas = np.array([delta_l] * 3 + [delta_n] * 3)
-    cells = np.floor(sig / deltas + _QUANT_EPS).astype(np.int64)
+    cells = int64_cells(np.floor(sig / deltas + _QUANT_EPS),
+                        f"signatures at delta_l {delta_l}, delta_n {delta_n}")
     # int64 -> uint64 reinterpretation is the two's complement of the cell
     words = cells.view(np.uint64)
     return cells, mix_words([words[:, j] for j in range(6)])

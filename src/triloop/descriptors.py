@@ -23,7 +23,7 @@ from itertools import permutations
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cells import mix_words, pack_cells
+from .cells import int64_cells, mix_words, pack_cells
 from .keypoints import KeyPoint
 
 log = logging.getLogger(__name__)
@@ -236,30 +236,23 @@ def build_descriptors(
     k_neighbors: int = 20,
     frame_id: int = 0,
     min_side: float = MIN_SIDE_LENGTH,
-    degenerate_slack: float = DEGENERATE_SLACK,
-    dedup_resolution: float = DEDUP_RESOLUTION,
 ) -> DescriptorFrame:
     """Form deduplicated canonical triangles from key-point neighborhoods.
 
+    A triangle is kept when its shortest side is at least min_side and its
+    two shorter sides beat the longest by more than DEGENERATE_SLACK, so its
+    vertices are three distinct points.
+
     Key points are processed in lexicographic position order, so the result
     depends only on the key-point multiset. Rows come in ascending order of
-    their quantized side triple (sides over dedup_resolution, rounded), which
+    their quantized side triple (sides over DEDUP_RESOLUTION, rounded), which
     deduplication leaves unique per row.
 
     An anchor's neighbors are its k nearest as returned by cKDTree.query.
     When several points tie at the k-th distance, the ones kept are the
     tree's choice, not the lowest indices: on 30 integer-lattice points with
     k=20 this gives 331 descriptors where index-order ties would give 327.
-
-    Raises ValueError for a negative or NaN degenerate_slack: a slack >= 0
-    drops every triangle with a repeated point (sides 0, l, l). Raises
-    ValueError unless dedup_resolution is finite and > 0: at 0 or NaN every
-    triangle would share one quantized triple.
     """
-    if not degenerate_slack >= 0:
-        raise ValueError(f"degenerate_slack must be >= 0, got {degenerate_slack}")
-    if not 0 < dedup_resolution < np.inf:
-        raise ValueError(f"dedup_resolution must be finite and > 0, got {dedup_resolution}")
     if len(keypoints) < 3:
         log.warning("frame %d: %d key points, need 3 for descriptors", frame_id, len(keypoints))
         return DescriptorFrame.empty(frame_id)
@@ -291,7 +284,7 @@ def build_descriptors(
     lengths = (np.minimum(short, raw[2]), np.maximum(short, np.minimum(long_, raw[2])),
                np.maximum(long_, raw[2]))  # each row's sides, ascending
     keep = np.flatnonzero((lengths[0] >= min_side)
-                          & (lengths[0] + lengths[1] - lengths[2] > degenerate_slack))
+                          & (lengths[0] + lengths[1] - lengths[2] > DEGENERATE_SLACK))
     if not len(keep):
         return DescriptorFrame.empty(frame_id)
     lengths = np.stack([col[keep] for col in lengths], axis=1)
@@ -300,7 +293,7 @@ def build_descriptors(
     # candidate index of each run of equal keys. The triples are packed into
     # int64 keys like grid cells (CellOutOfRange past the int64 range), so
     # key order is ascending triple order and no two rows share a key.
-    key = pack_cells(np.round(lengths / dedup_resolution).astype(np.int64))
+    key = pack_cells(int64_cells(np.round(lengths / DEDUP_RESOLUTION), "triangle sides"))
     by_key = np.argsort(key)
     run_starts = np.flatnonzero(np.diff(key[by_key], prepend=-1))
     unique = np.minimum.reduceat(by_key, run_starts)

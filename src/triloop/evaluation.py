@@ -339,9 +339,16 @@ def read_gt_csv(path) -> dict[int, list[int]]:
                      lambda fields: [int(i) for i in fields["loop_ids"].split(";") if i])
 
 
+def _threshold(value: float) -> str:
+    """A sweep threshold to the 6 decimals a parsed grid is rounded to, with
+    no trailing zeros past the second decimal: 0.10, 0.375, 0.001."""
+    text = f"{value:.6f}"
+    return text[:-4] + text[-4:].rstrip("0")
+
+
 def write_pr_csv(path, rows: list[dict]) -> None:
     _write_csv(path, PR_COLUMNS, [
-        (_fmt(row["sigma_pc"], 2), row["tp"], row["fp"], row["fn"],
+        (_threshold(row["sigma_pc"]), row["tp"], row["fp"], row["fn"],
          _fmt(row["precision"], 6), _fmt(row["recall"], 6))
         for row in rows
     ])

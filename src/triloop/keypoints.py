@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cells import int64_cells
 from .errors import NonPositiveLeaf
 from .geometry import _norms
 from .planes import PlaneSet, VoxelMap, _offsets
@@ -134,11 +135,12 @@ def _raster(
 
     Returns the mosaic, each point's image, and per flat pixel the max
     distance (-inf where empty) and the point holding it: the lowest index
-    among the points at the maximum, -1 where empty.
+    among the points at the maximum, -1 where empty. Raises CellOutOfRange
+    when a pixel index does not fit an int64.
     """
     if not pixel_size > 0:
         raise NonPositiveLeaf(f"pixel_size must be > 0, got {pixel_size}")
-    pix = np.floor(uv / pixel_size).astype(np.int64)
+    pix = int64_cells(np.floor(uv / pixel_size), f"key-point pixels at pixel size {pixel_size}")
     starts = bounds[:-1]
     mosaic = _Mosaic.of(np.minimum.reduceat(pix, starts, axis=0),
                         np.maximum.reduceat(pix, starts, axis=0))

@@ -28,15 +28,13 @@ from .planes import PlaneSet, build_voxel_map, classify_plane_voxels, grow_plane
 # A NaN fails every comparison, so a range test rejects it too.
 _RULES = (
     (("mode",), lambda v: v in MODES, f"one of {', '.join(MODES)}"),
-    (("connectivity",), lambda v: v in (6, 26), "6 or 26"),
     (("sigma_pc",), lambda v: 0 <= v <= 1, "in [0, 1]"),
     (("voxel_size", "sigma1", "sigma_n", "sigma_d", "delta_l", "delta_n", "pixel_size",
-      "inlier_tol", "normal_merge_tol", "dist_merge_tol", "dedup_resolution",
-      "refine_sigma_n", "refine_sigma_d"),
+      "inlier_tol", "normal_merge_tol", "dist_merge_tol", "refine_sigma_n", "refine_sigma_d"),
      lambda v: 0 < v < math.inf, "finite and > 0"),
     (("sigma2", "min_dist", "downsample_leaf", "gt_radius", "min_side"),
      lambda v: 0 <= v < math.inf, "finite and >= 0"),
-    (("max_keypoints", "skip_recent", "seed", "degenerate_slack"), lambda v: v >= 0, ">= 0"),
+    (("max_keypoints", "skip_recent", "seed"), lambda v: v >= 0, ">= 0"),
     (("n_accumulate", "iterations"), lambda v: v >= 1, ">= 1"),
     (("k_neighbors",), lambda v: v >= 2, ">= 2 (a triangle needs two neighbours)"),
 )
@@ -68,11 +66,8 @@ class PipelineConfig:
     gt_radius: float = 20.0
     normal_merge_tol: float = 0.02
     dist_merge_tol: float = 0.2
-    connectivity: int = 6
     max_keypoints: int = 200
     min_side: float = 0.5
-    degenerate_slack: float = 0.1
-    dedup_resolution: float = 0.01
     refine: bool = True
     refine_min_voxels: int = 3     # drop sliver planes from refinement input
     refine_sigma_n: float = 0.02   # tighter pair gates for fine alignment:
@@ -152,7 +147,6 @@ def extract_frame(cloud: np.ndarray, frame_id: int, cfg: PipelineConfig) -> Fram
         voxmap,
         normal_merge_tol=cfg.normal_merge_tol,
         dist_merge_tol=cfg.dist_merge_tol,
-        connectivity=cfg.connectivity,
     )
     keypoints = keyframe_keypoints(
         planes,
@@ -167,8 +161,6 @@ def extract_frame(cloud: np.ndarray, frame_id: int, cfg: PipelineConfig) -> Fram
         k_neighbors=cfg.k_neighbors,
         frame_id=frame_id,
         min_side=cfg.min_side,
-        degenerate_slack=cfg.degenerate_slack,
-        dedup_resolution=cfg.dedup_resolution,
     )
     return FrameExtraction(
         frame_id=frame_id,
@@ -204,13 +196,6 @@ class MatchingSession:
         self.db = DescriptorDatabase(delta_l=cfg.delta_l, delta_n=cfg.delta_n)
         self.plane_store: dict[int, PlaneSet] = {}
         self.rng = np.random.default_rng(cfg.seed)
-
-    def add_frame(self, frame_id: int, cloud: np.ndarray) -> FrameExtraction:
-        """Extract and insert a keyframe without querying (history seeding)."""
-        extraction = extract_frame(cloud, frame_id, self.cfg)
-        self.db.insert_frame(frame_id, extraction.descriptors)
-        self.plane_store[frame_id] = extraction.planes
-        return extraction
 
     def process_keyframe(self, frame_id: int, cloud: np.ndarray) -> KeyframeOutcome:
         cfg = self.cfg

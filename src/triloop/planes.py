@@ -27,13 +27,6 @@ MIN_VOXEL_POINTS = 10  # covariance of fewer points is too unstable to classify
 FACE_NEIGHBORS = (
     (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
 )
-CUBE_NEIGHBORS = tuple(
-    (dx, dy, dz)
-    for dx in (-1, 0, 1)
-    for dy in (-1, 0, 1)
-    for dz in (-1, 0, 1)
-    if (dx, dy, dz) != (0, 0, 0)
-)
 
 # Distinct entries of a symmetric 3x3 matrix.
 _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
@@ -221,7 +214,6 @@ def grow_planes(
     voxmap: VoxelMap,
     normal_merge_tol: float = 0.02,
     dist_merge_tol: float = 0.2,
-    connectivity: int = 6,
 ) -> PlaneSet:
     """Partition plane voxels into planes by breadth-first region growing.
 
@@ -230,15 +222,9 @@ def grow_planes(
     of the seed plane. Occupied neighbors that do not join are recorded as
     boundary voxels of the growing plane, in the order the search meets them.
     Seeds are visited in ascending cell order so plane ids are deterministic.
+    A voxel's neighbors are the six that share a face with it.
     """
-    if connectivity == 6:
-        offsets = FACE_NEIGHBORS
-    elif connectivity == 26:
-        offsets = CUBE_NEIGHBORS
-    else:
-        raise ValueError(f"connectivity must be 6 or 26, got {connectivity}")
-
-    table = voxmap.neighbors(offsets).tolist()
+    table = voxmap.neighbors(FACE_NEIGHBORS).tolist()
     is_plane = voxmap.is_plane.tolist()
     normals = list(voxmap.normals)  # row views for the scalar merge test
     means = list(voxmap.means)

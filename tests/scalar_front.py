@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from triloop.keypoints import NMS_RADIUS
-from triloop.planes import CUBE_NEIGHBORS, FACE_NEIGHBORS, MIN_VOXEL_POINTS
+from triloop.planes import FACE_NEIGHBORS, MIN_VOXEL_POINTS
 
 
 @dataclass
@@ -130,8 +130,7 @@ def _merges(seed, neighbor, normal_tol, dist_tol):
     return abs(float(seed.normal @ (neighbor.mean - seed.mean))) < dist_tol
 
 
-def scalar_grow_planes(voxmap, normal_merge_tol=0.02, dist_merge_tol=0.2, connectivity=6):
-    offsets = FACE_NEIGHBORS if connectivity == 6 else CUBE_NEIGHBORS
+def scalar_grow_planes(voxmap, normal_merge_tol=0.02, dist_merge_tol=0.2):
     assigned = {}
     planes = []
     for cell in sorted(voxmap):
@@ -154,7 +153,7 @@ def scalar_grow_planes(voxmap, normal_merge_tol=0.02, dist_merge_tol=0.2, connec
             weighted += shifted * voxel.count
             second += voxel.count * (voxel.covariance + np.outer(shifted, shifted))
             total += voxel.count
-            for off in offsets:
+            for off in FACE_NEIGHBORS:
                 ncell = (current[0] + off[0], current[1] + off[1], current[2] + off[2])
                 neighbor = voxmap.get(ncell)
                 if neighbor is None or assigned.get(ncell) == plane.id:

@@ -159,8 +159,10 @@ def test_criterion_5_sigma_pc_monotonicity_and_tradeoff():
 
     decoys = build_keyframes(decoy_world(jitter=1e-6),
                              loop_trajectory(spacing=2.0)[:12], n_accumulate=4)
-    for kf in decoys:
-        session.add_frame(kf.id, kf.cloud)
+    for kf in decoys:  # history only: extracted and inserted, never queried
+        extraction = extract_frame(kf.cloud, kf.id, cfg)
+        session.db.insert_frame(kf.id, extraction.descriptors)
+        session.plane_store[kf.id] = extraction.planes
     n_decoys = len(decoys)
 
     keyframes = build_keyframes(

@@ -108,21 +108,20 @@ class TestRun:
         for name, digest in pinned.items():
             assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == digest, name
 
-    def test_downsample_leaf_flag_overrides_config(self, tmp_path, world):
+    def test_downsample_leaf_from_config(self, tmp_path, world):
         poses = [yaw_pose(6.0 + 1.5 * i, 9.0, 1.5, 0.0) for i in range(5)]
         scan_dir, pose_file = write_sequence(tmp_path, world, poses, max_range=CROP_RANGE)
         cfg_path = tmp_path / "run.cfg"
-        write_config(cfg_path)  # file says 0.25
-        for leaf in ("0.6", "0"):  # 0 disables pre-extraction downsampling
+        for leaf in (0.6, 0.0):  # 0 disables pre-extraction downsampling
+            write_config(cfg_path, downsample_leaf=leaf)
             out_dir = tmp_path / f"out_{leaf}"
             code = main(
                 ["run", "--config", str(cfg_path), "--scans", str(scan_dir),
-                 "--poses", str(pose_file), "--out", str(out_dir),
-                 "--downsample-leaf", leaf]
+                 "--poses", str(pose_file), "--out", str(out_dir)]
             )
             assert code == 0
             summary = json.loads((out_dir / "summary.json").read_text())
-            assert summary["config"]["downsample_leaf"] == float(leaf)
+            assert summary["config"]["downsample_leaf"] == leaf
 
     def test_no_revisit_means_no_detections(self, tmp_path, world):
         poses = [yaw_pose(6.0 + 1.5 * i, 9.0, 1.5, 0.0) for i in range(15)]
@@ -159,6 +158,22 @@ class TestSweep:
         )
         assert code == 0
         assert out_csv.read_bytes() == (out_dir / "pr.csv").read_bytes()
+
+    def test_thresholds_keep_the_grid_digits(self, loop_run):
+        # two decimals used to label 0.001-0.004 all "0.00", and 0.375 "0.38"
+        base, _, _, _, out_dir = loop_run
+        out_csv = base / "pr_digits.csv"
+        for grid, labels in (
+            ("0.001:0.004:0.001", ["0.001", "0.002", "0.003", "0.004"]),
+            ("0.125:0.875:0.125", ["0.125", "0.25", "0.375", "0.50", "0.625", "0.75", "0.875"]),
+        ):
+            code = main(
+                ["sweep", "--records", str(out_dir / "records.csv"),
+                 "--gt", str(out_dir / "gt.csv"), "--out", str(out_csv), "--grid", grid]
+            )
+            assert code == 0
+            rows = out_csv.read_text().splitlines()[1:]
+            assert [row.split(",")[0] for row in rows] == labels, grid
 
     def test_sweep_mode_selects_like_the_run(self, tmp_path):
         # query 10: the first passing candidate (3) is no loop, the one with
@@ -293,7 +308,7 @@ class TestExitCodes:
         "delta_l = 0", "delta_n = nan", "n_accumulate = 0", "skip_recent = -1",
         "downsample_leaf = -1", "gt_radius = nan", "sigma_pc = nan", "inlier_tol = -1",
         "iterations = 0", "k_neighbors = 0", "sigma_n = nan", "sigma_d = nan", "seed = -1",
-        "voxel_size = nan", "sigma1 = nan", "dedup_resolution = 0", "dist_merge_tol = nan",
+        "voxel_size = nan", "sigma1 = nan", "dist_merge_tol = nan",
     ])
     def test_value_that_crashes_or_miscounts_is_config_error(self, tmp_path, world, line):
         cfg_path = tmp_path / "run.cfg"
@@ -307,19 +322,8 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
 
-    def test_negative_downsample_leaf_override_is_config_error(self, tmp_path, world):
-        cfg_path = tmp_path / "run.cfg"
-        write_config(cfg_path)
-        scan_dir, pose_file = write_sequence(tmp_path, world, [yaw_pose(6.0, 9.0, 1.5, 0.0)])
-        code = main(
-            ["run", "--config", str(cfg_path), "--scans", str(scan_dir),
-             "--poses", str(pose_file), "--out", str(tmp_path / "out"),
-             "--downsample-leaf", "-1"]
-        )
-        assert code == EXIT_CONFIG
-        assert not (tmp_path / "out").exists()
-
     def test_negative_or_nan_degenerate_slack_is_config_error(self, tmp_path, world):
+        # degenerate_slack is a constant now, so any value names an unknown key
         poses = [yaw_pose(6.0 + i, 9.0, 1.5, 0.0) for i in range(3)]
         scan_dir, pose_file = write_sequence(tmp_path, world, poses)
         for value in ("-0.1", "nan"):
@@ -334,6 +338,7 @@ class TestExitCodes:
             assert not (tmp_path / "out").exists()
 
     def test_bad_connectivity_is_config_error(self, tmp_path, world):
+        # plane growing is face-neighbour only now, so connectivity is an unknown key
         cfg_path = tmp_path / "run.cfg"
         write_config(cfg_path)
         cfg_path.write_text(cfg_path.read_text() + "connectivity = 18\n")
@@ -345,6 +350,37 @@ class TestExitCodes:
         )
         assert code == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
+
+    def test_removed_setting_is_config_error(self, tmp_path, world, capsys):
+        # these settings are constants now; an old config or command line
+        # that still names one is refused before any output is written
+        scan_dir, pose_file = write_sequence(tmp_path, world, [yaw_pose(6.0, 9.0, 1.5, 0.0)])
+        cfg_path = tmp_path / "run.cfg"
+        args = ["run", "--scans", str(scan_dir), "--poses", str(pose_file),
+                "--out", str(tmp_path / "out")]
+        for line in ("connectivity = 6", "degenerate_slack = 0.1", "dedup_resolution = 0.01"):
+            write_config(cfg_path)
+            n_lines = len(cfg_path.read_text().splitlines())
+            cfg_path.write_text(cfg_path.read_text() + line + "\n")
+            assert main(args + ["--config", str(cfg_path)]) == EXIT_CONFIG, line
+            assert f"{cfg_path}:{n_lines + 1}: unknown parameter" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(args + ["--downsample-leaf", "0.6"])
+        assert exit_info.value.code == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line", ["delta_l = 1e-300", "pixel_size = 1e-300"])
+    def test_cells_beyond_int64_are_io_error(self, tmp_path, world, capsys, line):
+        cfg_path = tmp_path / "run.cfg"
+        write_config(cfg_path)
+        cfg_path.write_text(cfg_path.read_text() + line + "\n")
+        scan_dir, pose_file = write_sequence(tmp_path, world, [yaw_pose(6.0, 9.0, 1.5, 0.0)])
+        code = main(
+            ["run", "--config", str(cfg_path), "--scans", str(scan_dir),
+             "--poses", str(pose_file), "--out", str(tmp_path / "out")]
+        )
+        assert code == 3
+        assert "int64 range" in capsys.readouterr().err
 
     def test_pose_count_mismatch_is_config_error(self, tmp_path, world):
         poses = [yaw_pose(6.0 + i, 9.0, 1.5, 0.0) for i in range(3)]

@@ -13,7 +13,7 @@ from triloop.descriptors import (
     build_descriptors,
     frame_signatures,
 )
-from triloop.errors import DuplicateFrame, MalformedRecord
+from triloop.errors import CellOutOfRange, DuplicateFrame, MalformedRecord
 from triloop.geometry import RigidTransform, random_rotation
 from triloop.keypoints import KeyPoint
 
@@ -454,6 +454,21 @@ class TestFrameKeys:
         with pytest.raises(ValueError):
             frame_keys(np.array([[1.0, 2.0, np.nan, 0.1, 0.2, 0.3]]), 0.2, 0.1)
 
+    def test_cells_beyond_int64_raise(self):
+        # a delta of 1e-300 puts a 1 m side in cell 1e300: the cast used to
+        # give garbage cells, and unrelated frames shared them and got votes
+        signatures = np.array([[1.0, 2.0, 3.0, 0.1, 0.2, 0.3]])
+        for delta_l, delta_n in ((1e-300, 0.1), (0.2, 1e-300)):
+            with pytest.raises(CellOutOfRange, match="int64 range"):
+                frame_keys(signatures, delta_l, delta_n)
+        db = DescriptorDatabase(delta_l=1e-300)
+        frame = synth_frame(np.random.default_rng(29), 0, 5)
+        with pytest.raises(CellOutOfRange):
+            db.query_candidates(frame)
+        with pytest.raises(CellOutOfRange):
+            db.insert_frame(0, frame)
+        assert (db.frames_indexed, db.descriptors_indexed) == (0, 0)
+
 
 class TestVoteKernel:
     def test_pair_partner_is_earliest_stored_in_cell(self):
@@ -707,6 +722,15 @@ class TestSnapshotFormat:
         path = tmp_path / "db.bin"
         path.write_bytes(raw[:12] + struct.pack("<d", float("nan")) + raw[20:])
         with pytest.raises(MalformedRecord):
+            DescriptorDatabase.load(path)
+
+    def test_delta_too_small_for_int64_cells_rejected(self, tmp_path):
+        # the header delta passes the range check, but the first stored
+        # descriptor's cells do not fit an int64
+        _, raw = self.make_db()
+        path = tmp_path / "db.bin"
+        path.write_bytes(raw[:12] + struct.pack("<d", 1e-300) + raw[20:])
+        with pytest.raises(CellOutOfRange, match="int64 range"):
             DescriptorDatabase.load(path)
 
     @pytest.mark.parametrize("column, value", [(18, float("nan")), (0, float("inf"))],

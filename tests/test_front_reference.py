@@ -115,16 +115,15 @@ class TestMatchesReference:
         assert 0 < n < len(voxmap)
         assert voxmap.is_plane.tolist() == [v.is_plane for v in voxels]
 
-    @pytest.mark.parametrize("connectivity", (6, 26))
-    def test_planes_and_keypoints(self, seed, offset, connectivity):
+    def test_planes_and_keypoints(self, seed, offset):
         cloud = voxel_downsample(random_scene(seed, offset), 0.25)
         voxmap = build_voxel_map(cloud, 1.0)
         ref = scalar_voxel_map(cloud, 1.0)
         classify_plane_voxels(voxmap, 0.01, 0.05)
         scalar_classify(ref, 0.01, 0.05)
         for normal_tol, dist_tol in ((0.02, 0.2), (0.2, 0.5)):
-            planes = grow_planes(voxmap, normal_tol, dist_tol, connectivity)
-            expected = scalar_grow_planes(ref, normal_tol, dist_tol, connectivity)
+            planes = grow_planes(voxmap, normal_tol, dist_tol)
+            expected = scalar_grow_planes(ref, normal_tol, dist_tol)
             assert_same_planes(planes, voxmap, expected)
             assert (np.diff(planes.member_offsets) > 1).any()
             assert (np.diff(planes.boundary_offsets) > 0).any()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from triloop.errors import NonPositiveLeaf
+from triloop.errors import CellOutOfRange, NonPositiveLeaf
 from triloop.geometry import RigidTransform, random_rotation
 from triloop.keypoints import (
     _boundary_points,
@@ -69,6 +69,13 @@ class TestProjection:
         planes, voxmap = make_plane_scene([0, 0, 0], [0, 0, 1], [[0.7, -0.3, 0.0]])
         with pytest.raises(NonPositiveLeaf):
             keyframe_keypoints(planes, voxmap, pixel_size=float("nan"), min_dist=0.0)
+
+    def test_pixels_beyond_int64_raise(self):
+        # at pixel size 1e-300 the point's pixel is ~7e299: the cast used to
+        # give garbage pixels and drop key points with only a RuntimeWarning
+        planes, voxmap = make_plane_scene([0, 0, 0], [0, 0, 1], [[0.7, -0.3, 0.0]])
+        with pytest.raises(CellOutOfRange, match="int64 range"):
+            keyframe_keypoints(planes, voxmap, pixel_size=1e-300, min_dist=0.0)
 
     def test_pure_normal_offset(self):
         planes, voxmap = make_plane_scene([1, 2, 3], [0, 0, 1], [[1.0, 2.0, 3.5]])

@@ -262,17 +262,10 @@ class TestGrowPlanes:
         with pytest.raises(TypeError):
             planes[0]  # no one-plane objects, so no iteration either
 
-    def test_26_connectivity_bridges_diagonal_gaps(self):
-        # two floor patches touching only at a corner: separate planes under
-        # face connectivity, one plane with the cube neighborhood
+    def test_patches_touching_at_a_corner_stay_two_planes(self):
+        # two floor patches touching only at a corner share no voxel face
         cloud = np.vstack([floor_patch((0, 3), (0, 3)), floor_patch((3, 6), (3, 6))])
-        voxmap = extract(cloud)
-        assert len(grow_planes(voxmap, connectivity=6)) == 2
-        assert len(grow_planes(voxmap, connectivity=26)) == 1
-
-    def test_invalid_connectivity_rejected(self):
-        with pytest.raises(ValueError):
-            grow_planes(build_voxel_map(np.zeros((1, 3)), 1.0), connectivity=18)
+        assert len(grow_planes(extract(cloud))) == 2
 
 
 def test_canonical_normal_flips_dominant_component():
