@@ -2,8 +2,11 @@
 
 A frame's signatures, computed once when the frame was built or loaded, are
 quantized componentwise and the six cells mixed into one 64-bit bucket key.
-Stored descriptors are held column-wise, one row per descriptor in insertion
-order: its six cells. A frame is a range of rows, from its start row to the
+Stored descriptors are rows, numbered in insertion order. Their cells are one
+(6, capacity) array, a contiguous line per cell, in the narrowest signed
+integer type that holds every cell stored so far: an insert whose cells need
+more widens it in place, at most three times over a store's life (int8,
+int16, int32, int64). A frame is a range of rows, from its start row to the
 next frame's. The bucket index is two more columns, bucket keys and the rows
 they point to, cut into consecutive segments that are each sorted by key. An
 insert appends the new frame as a segment and merges the newest two
@@ -14,9 +17,12 @@ life. A query binary-searches each segment for its bucket keys and gathers
 every matching row in one step, so its cost follows the number of matches,
 not the length of a bucket. No step depends on the order of rows within a
 bucket: a vote's pair partner is the smallest matching row of its frame. The
-full cell 6-tuple is compared on every lookup, so bucket collisions between
-distinct cells never produce false matches. Inserting a frame is atomic with
-respect to concurrent queries.
+matches in the newest frames a query skips are dropped first; the rest have
+their full cell 6-tuple gathered in one step and compared with the query's
+int64 cells, so bucket collisions between distinct cells never produce false
+matches. The query's cells are never narrowed to the stored type, where a
+cell outside it would wrap into a stored one. Inserting a frame is atomic
+with respect to concurrent queries.
 
 A keyframe is queried and then inserted, so a frame's cells, bucket keys and
 key order are computed once and kept for the insert that follows its query.
@@ -48,11 +54,15 @@ TOP_K_CANDIDATES = 10
 # grid sizes in binary floats) up into the intended cell.
 _QUANT_EPS = 1e-9
 
+# the types a store's cells may take, narrowest first
+_CELL_TYPES = tuple(map(np.dtype, (np.int8, np.int16, np.int32, np.int64)))
+
 
 def frame_keys(
     signatures: np.ndarray, delta_l: float, delta_n: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cells (M, 6) int64 and bucket keys (M,) uint64 of M signatures.
+    """Cells (M, 6) int64 and bucket keys (M,) uint64 of M signatures. The
+    cells are the transpose of a contiguous (6, M) array, one row per cell.
 
     Row for row equal to the scalar reference ``make_key`` in
     ``tests/scalar_descriptors.py``: the same floor arithmetic, and the same
@@ -62,18 +72,25 @@ def frame_keys(
     sig = np.asarray(signatures, dtype=np.float64).reshape(-1, 6)
     if not np.isfinite(sig).all():
         raise ValueError("descriptor signatures must be finite")
-    deltas = np.array([delta_l] * 3 + [delta_n] * 3)
-    cells = int64_cells(np.floor(sig / deltas + _QUANT_EPS),
+    deltas = np.array([delta_l] * 3 + [delta_n] * 3)[:, None]
+    scaled = np.divide(sig.T, deltas, order="C")
+    scaled += _QUANT_EPS
+    cells = int64_cells(np.floor(scaled, out=scaled),
                         f"signatures at delta_l {delta_l}, delta_n {delta_n}")
     # int64 -> uint64 reinterpretation is the two's complement of the cell
-    words = cells.view(np.uint64)
-    return cells, mix_words([words[:, j] for j in range(6)])
+    return cells.T, mix_words(cells.view(np.uint64))
+
+
+def _narrowest_int(cells: np.ndarray) -> np.dtype:
+    """The narrowest signed integer type that holds every one of the cells."""
+    lo, hi = int(cells.min(initial=0)), int(cells.max(initial=0))
+    return next(t for t in _CELL_TYPES if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max)
 
 
 @dataclass(frozen=True, eq=False)
 class _FrameKeys:
-    """A frame's cells (M, 6), bucket keys (M,), and its rows in bucket-key
-    order with the keys in that order."""
+    """A frame's cells (6, M) int64, one contiguous row per cell, its bucket
+    keys (M,), and its rows in bucket-key order with the keys in that order."""
 
     frame: DescriptorFrame
     cells: np.ndarray
@@ -131,8 +148,9 @@ class DescriptorDatabase:
             raise ValueError("quantization resolutions must be finite and > 0")
         self.delta_l = delta_l
         self.delta_n = delta_n
-        # one row per stored descriptor; capacity grows geometrically
-        self._cells = np.empty((0, 6), dtype=np.int64)
+        # one column per stored descriptor, one row per cell, in the narrowest
+        # type that holds every stored cell; capacity grows geometrically
+        self._cells = np.empty((6, 0), dtype=_CELL_TYPES[0])
         # the bucket index, a permutation of the rows; see the module docstring
         self._index_keys = np.empty(0, dtype=np.uint64)
         self._index_rows = np.empty(0, dtype=np.int64)
@@ -153,8 +171,9 @@ class DescriptorDatabase:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the stored frames and of the row and index columns, the
-        columns at their full capacity: 64 per row."""
+        """Bytes of the stored frames and of the cell and index columns, the
+        columns at their full capacity: 16 of index per row, plus six cells
+        of ``_cells.itemsize`` bytes (28 per row for int16 cells)."""
         with self._lock:
             return (sum(getattr(self, name).nbytes for name in self._COLUMNS)
                     + sum(frame.nbytes for frame in self._frames.values()))
@@ -162,7 +181,7 @@ class DescriptorDatabase:
     def _keys(self, frame: DescriptorFrame) -> _FrameKeys:
         cells, buckets = frame_keys(frame.signatures, self.delta_l, self.delta_n)
         order = np.argsort(buckets)
-        return _FrameKeys(frame, cells, order, buckets[order])
+        return _FrameKeys(frame, cells.T, order, buckets[order])
 
     def insert_frame(self, frame_id: int, frame: DescriptorFrame) -> None:
         """Index one frame and make it visible to queries in one step.
@@ -178,13 +197,16 @@ class DescriptorDatabase:
             self._queried = None
         else:
             keys = self._keys(frame)
+        dtype = _narrowest_int(keys.cells)
         with self._lock:
             if frame_id in self._frames:
                 raise DuplicateFrame(f"frame {frame_id} already inserted")
             start = self.descriptors_indexed
             stop = start + len(frame)
             self._reserve(stop)
-            self._cells[start:stop] = keys.cells
+            if dtype.itemsize > self._cells.itemsize:  # at most three times in its life
+                self._cells = self._cells.astype(dtype)
+            self._cells[:, start:stop] = keys.cells
             self._index_keys[start:stop] = keys.sorted_buckets
             self._index_rows[start:stop] = start + keys.order
             if len(frame):
@@ -199,10 +221,10 @@ class DescriptorDatabase:
         if n_rows <= capacity:
             return
         capacity = max(n_rows, 2 * capacity, 1024)
-        for name in self._COLUMNS:
+        for name in self._COLUMNS:  # each indexed by row along its last axis
             old = getattr(self, name)
-            grown = np.empty((capacity,) + old.shape[1:], dtype=old.dtype)
-            grown[: len(old)] = old
+            grown = np.empty(old.shape[:-1] + (capacity,), dtype=old.dtype)
+            grown[..., : old.shape[-1]] = old
             setattr(self, name, grown)
 
     def _merge_segments(self, stop: int) -> None:
@@ -255,8 +277,13 @@ class DescriptorDatabase:
             starts = self._frame_starts
             below = starts[max(self.frames_indexed - max(skip_recent, 0), 0)]
             query, stored = self._bucket_rows(keys, int(below))
-            # the last segment searched may hold rows from below on
-            keep = (stored < below) & (self._cells[stored] == keys.cells[query]).all(axis=1)
+            # the last segment searched may hold rows from below on; they are
+            # dropped before any cell is gathered
+            keep = stored < below
+            query, stored = query[keep], stored[keep]
+            # the query's int64 cells are never narrowed: a cell outside the
+            # stored type would wrap into it and match
+            keep = (self._cells.take(stored, axis=1) == keys.cells.take(query, axis=1)).all(axis=0)
             query, stored = query[keep], stored[keep]
             frames = starts.searchsorted(stored, side="right") - 1  # skips empty frames
             group = frames * len(frame) + query  # (frame, query row), in that order

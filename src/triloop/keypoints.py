@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import int64_cells
-from .errors import NonPositiveLeaf
+from .cells import _INT64_MAX, int64_cells
+from .errors import CellOutOfRange, NonPositiveLeaf
 from .geometry import _norms
 from .planes import PlaneSet, VoxelMap, _offsets
 
@@ -70,12 +70,19 @@ class _Mosaic:
 
     @classmethod
     def of(cls, lo: np.ndarray, hi: np.ndarray) -> _Mosaic:
+        """The mosaic of images spanning pixels lo to hi (P, 2). Raises
+        CellOutOfRange when its pixel count does not fit an int64, counted
+        in Python integers, where the int64 arithmetic below would wrap."""
+        size = sum((h0 - l0 + 1 + 2 * NMS_RADIUS) * (h1 - l1 + 1 + 2 * NMS_RADIUS)
+                   for (l0, l1), (h0, h1) in zip(lo.tolist(), hi.tolist()))
+        if size > _INT64_MAX:
+            raise CellOutOfRange(f"key-point images need {size} pixels, beyond the int64 range")
         shape = hi - lo + 1
         stride = shape[:, 1] + 2 * NMS_RADIUS
         blocks = (shape[:, 0] + 2 * NMS_RADIUS) * stride
         starts = np.cumsum(blocks) - blocks
         base = starts + NMS_RADIUS * stride + NMS_RADIUS
-        return cls(lo, shape, base, stride, int(blocks.sum()))
+        return cls(lo, shape, base, stride, size)
 
     def flat(self, image: np.ndarray, pix: np.ndarray) -> np.ndarray:
         """Flat index of pixels pix (N, 2) of images image (N,)."""
@@ -136,7 +143,7 @@ def _raster(
     Returns the mosaic, each point's image, and per flat pixel the max
     distance (-inf where empty) and the point holding it: the lowest index
     among the points at the maximum, -1 where empty. Raises CellOutOfRange
-    when a pixel index does not fit an int64.
+    when a pixel index, or the mosaic's pixel count, does not fit an int64.
     """
     if not pixel_size > 0:
         raise NonPositiveLeaf(f"pixel_size must be > 0, got {pixel_size}")

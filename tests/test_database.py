@@ -652,6 +652,107 @@ class TestVoteKernel:
             below = sum(sizes[:kept])
             assert set(searched) == {start for start in segments if start < below}
 
+    def test_cell_check_gathers_only_the_rows_below_the_skip_cut(self):
+        # the last three frames merge into one segment, so a query that
+        # skips two of them searches a segment that holds them
+        sizes = [200, 30, 30, 30]
+        rng = np.random.default_rng(33)
+        db = DescriptorDatabase()
+        stored = []
+        for f, size in enumerate(sizes):
+            frame = synth_frame(rng, f, size, side_range=(1.0, 4.0), structured_normals=True)
+            stored.extend(frame)
+            db.insert_frame(f, frame)
+        assert db._segment_starts == [0, 200]
+        query = stack_frame([dataclasses.replace(d, frame_id=99) for d in stored[::3]], 99)
+        gathered = []
+
+        class CountedCells(np.ndarray):
+            """Records the rows of every gather of stored cells."""
+
+            def take(self, indices, *args, **kwargs):
+                gathered.append(np.array(indices))
+                return self.view(np.ndarray).take(indices, *args, **kwargs)
+
+        db._cells = db._cells.view(CountedCells)
+        for skip in range(len(sizes) + 1):
+            gathered.clear()
+            kept = max(len(sizes) - skip, 0)
+            below = sum(sizes[:kept])
+            _, matches = db._bucket_rows(db._keys(query), below)
+            expected = brute_force_votes(stored, query, db.delta_l, db.delta_n,
+                                         excluded=set(range(kept, len(sizes))))
+            assert db.vote_counts(query, skip_recent=skip) == expected
+            if skip in (1, 2):  # the last segment searched holds rows from the cut on
+                assert (matches >= below).any()
+            [rows] = gathered  # one gather serves all six cells
+            assert sorted(rows.tolist()) == sorted(matches[matches < below].tolist())
+
+    def test_forced_bucket_collisions_never_match_a_wrapped_cell(self, monkeypatch):
+        # buckets keyed by one normal-dot cell modulo 3: distinct cells share
+        # them, and a row with shifted sides shares its original's bucket
+        import triloop.database
+
+        monkeypatch.setattr(triloop.database, "mix_words",
+                            lambda words: np.asarray(words[3]) % np.uint64(3))
+        rng = np.random.default_rng(34)
+        db = DescriptorDatabase()
+        stored = []
+        for f in range(4):
+            frame = synth_frame(rng, f, 30, side_range=(1.0, 4.0), structured_normals=True)
+            stored.extend(frame)
+            db.insert_frame(f, frame)
+        assert db._cells.dtype == np.int8
+        originals = stack_frame(stored[::2], 99)
+        # each side cell 256 above a stored one: equal to it once cast to int8
+        shifted = DescriptorFrame.from_sides(originals.vertices, originals.normals,
+                                             originals.sides + 256 * db.delta_l, 99)
+        cells, _ = frame_keys(shifted.signatures, db.delta_l, db.delta_n)
+        stored_cells, _ = frame_keys(originals.signatures, db.delta_l, db.delta_n)
+        assert np.array_equal(cells, stored_cells + [256, 256, 256, 0, 0, 0])
+        assert np.array_equal(cells.astype(np.int8), stored_cells.astype(np.int8))
+        query = stack_frame(list(shifted) + list(originals), 99)
+        expected = brute_force_votes(stored, query, db.delta_l, db.delta_n)
+        assert expected == brute_force_votes(stored, originals, db.delta_l, db.delta_n)
+        assert db.vote_counts(query) == expected
+        candidates = db.query_candidates(query)
+        assert candidates
+        for c in candidates:
+            assert c.pairs.query_rows.min() >= len(shifted)  # no shifted row votes
+
+    def test_cells_widen_in_mid_stream(self, tmp_path):
+        rng = np.random.default_rng(35)
+        db = DescriptorDatabase()
+        stored, dtypes = [], []
+        # side scales whose cells need int8, int16, int32 and then int64
+        for f, scale in enumerate([1.0, 1.0, 30.0, 1e5, 1e10]):
+            small = synth_frame(rng, f, 20, side_range=(1.0, 4.0), structured_normals=True)
+            frame = DescriptorFrame.from_sides(small.vertices * scale, small.normals,
+                                               small.sides * scale, f)
+            before = db._cells[:, : db.descriptors_indexed].astype(np.int64)
+            db.insert_frame(f, frame)
+            stored.extend(frame)
+            assert np.array_equal(db._cells[:, : len(before.T)], before)
+            dtypes.append(db._cells.dtype)
+            query = stack_frame([dataclasses.replace(d, frame_id=99) for d in stored[::2]], 99)
+            assert db.vote_counts(query) == brute_force_votes(stored, query, db.delta_l,
+                                                              db.delta_n)
+        assert dtypes == [np.int8, np.int8, np.int16, np.int32, np.int64]
+        path = tmp_path / "db.bin"
+        db.save(path)
+        loaded = DescriptorDatabase.load(path)
+        assert loaded._cells.dtype == np.int64
+        for f in range(len(dtypes) + 1):
+            query = stack_frame([dataclasses.replace(d, frame_id=99) for d in stored[f::3]], 99)
+            for skip in (0, 2):
+                assert loaded.vote_counts(query, skip) == db.vote_counts(query, skip)
+                assert [(c.frame_id, c.votes, c.pairs.query_rows.tolist(),
+                         c.pairs.stored_rows.tolist())
+                        for c in loaded.query_candidates(query, skip)] == [
+                    (c.frame_id, c.votes, c.pairs.query_rows.tolist(),
+                     c.pairs.stored_rows.tolist())
+                    for c in db.query_candidates(query, skip)]
+
     def test_empty_query_and_empty_database(self):
         rng = np.random.default_rng(25)
         db = DescriptorDatabase()
@@ -848,14 +949,16 @@ class TestStreamedSnapshot:
         rows = db.descriptors_indexed
         assert rows > 1024
         frames = sum(frame.nbytes for frame in db._frames.values())
-        # insert grows the columns geometrically, 64 bytes per row of capacity
-        assert db.nbytes == frames + 64 * len(db._index_rows) > frames + 64 * rows
+        # insert grows the columns geometrically: per row of capacity, 16
+        # bytes of index and six cells
+        row_bytes = 16 + 6 * db._cells.itemsize
+        assert db.nbytes == frames + row_bytes * len(db._index_rows) > frames + row_bytes * rows
         path = tmp_path / "db.bin"
         db.save(path)
         loaded = DescriptorDatabase.load(path)
         # load sizes them once, from the file, to the rows it holds
         loaded_frames = sum(frame.nbytes for frame in loaded._frames.values())
-        assert loaded.nbytes == loaded_frames + 64 * rows
+        assert loaded.nbytes == loaded_frames + (16 + 6 * loaded._cells.itemsize) * rows
 
 
 def assert_signatures_match_scalar(frame):

@@ -77,6 +77,15 @@ class TestProjection:
         with pytest.raises(CellOutOfRange, match="int64 range"):
             keyframe_keypoints(planes, voxmap, pixel_size=1e-300, min_dist=0.0)
 
+    def test_mosaic_beyond_int64_raises_before_it_is_allocated(self):
+        # at pixel size 1e-12 a 2 m plane needs ~4.0e24 pixels; int64 sizing
+        # wrapped that to ~8.0e18. (A size that fits an int64 but not in
+        # memory, as at 1e-6, is not run: it would ask for terabytes.)
+        planes, voxmap = make_plane_scene([0, 0, 0], [0, 0, 1],
+                                          [[-1.0, -1.0, 0.5], [1.0, 1.0, 0.5]])
+        with pytest.raises(CellOutOfRange, match="pixels, beyond the int64 range"):
+            keyframe_keypoints(planes, voxmap, pixel_size=1e-12, min_dist=0.0)
+
     def test_pure_normal_offset(self):
         planes, voxmap = make_plane_scene([1, 2, 3], [0, 0, 1], [[1.0, 2.0, 3.5]])
         [kp] = keyframe_keypoints(planes, voxmap, min_dist=0.0)
