@@ -46,7 +46,7 @@ import numpy as np
 
 from .cells import int64_cells, mix_words
 from .descriptors import DescriptorFrame, DescriptorPairs
-from .errors import DuplicateFrame, MalformedRecord
+from .errors import CellOutOfRange, DuplicateFrame, MalformedRecord
 
 TOP_K_CANDIDATES = 10
 
@@ -67,16 +67,21 @@ def frame_keys(
     Row for row equal to the scalar reference ``make_key`` in
     ``tests/scalar_descriptors.py``: the same floor arithmetic, and the same
     mix in wrapping uint64 arithmetic. Raises CellOutOfRange when a cell does
-    not fit an int64, as a delta far too small for the signatures gives.
+    not fit an int64, as a delta far too small for the signatures gives, and
+    ValueError when a signature is NaN or infinite.
     """
     sig = np.asarray(signatures, dtype=np.float64).reshape(-1, 6)
-    if not np.isfinite(sig).all():
-        raise ValueError("descriptor signatures must be finite")
     deltas = np.array([delta_l] * 3 + [delta_n] * 3)[:, None]
     scaled = np.divide(sig.T, deltas, order="C")
     scaled += _QUANT_EPS
-    cells = int64_cells(np.floor(scaled, out=scaled),
-                        f"signatures at delta_l {delta_l}, delta_n {delta_n}")
+    try:
+        # the range test also fails on a NaN or infinite signature
+        cells = int64_cells(np.floor(scaled, out=scaled),
+                            f"signatures at delta_l {delta_l}, delta_n {delta_n}")
+    except CellOutOfRange:
+        if not np.isfinite(sig).all():
+            raise ValueError("descriptor signatures must be finite") from None
+        raise
     # int64 -> uint64 reinterpretation is the two's complement of the cell
     return cells.T, mix_words(cells.view(np.uint64))
 

@@ -23,7 +23,7 @@ from itertools import permutations
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cells import int64_cells, mix_words, pack_cells
+from .cells import cell_keys, mix_words
 from .keypoints import KeyPoint
 
 log = logging.getLogger(__name__)
@@ -287,17 +287,17 @@ def build_descriptors(
                           & (lengths[0] + lengths[1] - lengths[2] > DEGENERATE_SLACK))
     if not len(keep):
         return DescriptorFrame.empty(frame_id)
-    lengths = np.stack([col[keep] for col in lengths], axis=1)
+    lengths = np.stack([col[keep] for col in lengths])  # (3, K) rows
 
     # first occurrence per quantized side triple, in key order: the lowest
     # candidate index of each run of equal keys. The triples are packed into
     # int64 keys like grid cells (CellOutOfRange past the int64 range), so
     # key order is ascending triple order and no two rows share a key.
-    key = pack_cells(int64_cells(np.round(lengths / DEDUP_RESOLUTION), "triangle sides"))
+    key, _, _ = cell_keys(lengths, DEDUP_RESOLUTION, "triangle sides", np.rint)
     by_key = np.argsort(key)
     run_starts = np.flatnonzero(np.diff(key[by_key], prepend=-1))
     unique = np.minimum.reduceat(by_key, run_starts)
-    first, lengths = keep[unique], lengths[unique]
+    first, lengths = keep[unique], lengths[:, unique].T
 
     # vertex order: the three key-point ids sorted (first_nbr < second_nbr
     # already), then the first of the six orders whose sides come out

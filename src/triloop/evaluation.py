@@ -117,10 +117,11 @@ def run_sequence(
     groups = [list(range(i, min(i + n, len(scan_paths)))) for i in range(0, len(scan_paths), n)]
     for kf_id, group in enumerate(groups):
         t0 = time.perf_counter()
-        scans = [
-            Scan(points=_read_scan(scan_paths[i]), index=i, pose=poses[i]) for i in group
-        ]
-        keyframe = accumulate_keyframe(scans, keyframe_id=kf_id)
+        # the scans live only while they are accumulated
+        keyframe = accumulate_keyframe(
+            [Scan(points=_read_scan(scan_paths[i]), index=i, pose=poses[i]) for i in group],
+            keyframe_id=kf_id,
+        )
         t_load = (time.perf_counter() - t0) * 1e3
 
         outcome = session.process_keyframe(kf_id, keyframe.cloud)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cells import cell_means, floor_cells
+from .cells import cell_keys, cell_means
 from .errors import EmptyInput, MalformedRecord, NonFiniteInput, NonPositiveLeaf, UnsupportedFormat
 from .geometry import RigidTransform, nearest_rotation, rotation_from_quaternion
 
@@ -157,16 +157,21 @@ def _parse_pose(fields: list[str]) -> RigidTransform:
 
 
 def accumulate_keyframe(scans: list[Scan], keyframe_id: int = 0) -> Keyframe:
-    """Merge scans into the first scan's frame using their relative poses."""
+    """Merge scans into the first scan's frame using their relative poses.
+
+    Each scan's moved points are written into one preallocated cloud, in
+    scan order, so no list of moved copies is held next to the result.
+    """
     if not scans:
         raise EmptyInput("no scans to accumulate")
     anchor = scans[0].pose
     anchor_inv = anchor.inverse()
-    parts = [scans[0].points]
-    for scan in scans[1:]:
+    ends = np.cumsum([len(scan.points) for scan in scans])
+    cloud = np.empty((int(ends[-1]), 3))
+    cloud[: ends[0]] = scans[0].points
+    for scan, lo, hi in zip(scans[1:], ends[:-1], ends[1:]):
         rel = anchor_inv.compose(scan.pose)  # scan frame -> anchor frame
-        parts.append(rel.apply(scan.points))
-    cloud = np.vstack(parts)
+        cloud[lo:hi] = rel.apply(scan.points)
     return Keyframe(
         id=keyframe_id,
         cloud=cloud,
@@ -187,4 +192,5 @@ def voxel_downsample(cloud, leaf: float) -> np.ndarray:
     pts = np.asarray(cloud, dtype=np.float64)
     if len(pts) == 0:
         raise EmptyInput("cannot downsample an empty cloud")
-    return cell_means(pts, floor_cells(pts, leaf))[2]
+    keys, _, _ = cell_keys(pts.T, leaf, f"points at cell size {leaf}")
+    return cell_means(pts, keys)[3]

@@ -39,7 +39,7 @@ from .planes import PlaneSet
 
 MIN_INLIER_PAIRS = 4
 MIN_REFINE_PAIRS = 10
-INLIER_CHUNK = 1 << 18  # (correspondence, hypothesis) cells per inlier step; bounds temporaries
+INLIER_CHUNK = 1 << 15  # (correspondence, hypothesis) cells per inlier step: 256 KB blocks
 _IN, _NEAR, _OUT = np.uint8(0), np.uint8(1), np.uint8(2)  # decisions of inlier cells
 
 MODES = ("first", "best")  # loop selection rules, see select_loop

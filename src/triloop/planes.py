@@ -19,7 +19,7 @@ from itertools import chain
 
 import numpy as np
 
-from .cells import cell_box, cell_means, floor_cells, pack_offsets
+from .cells import cell_box, cell_keys, cell_means, pack_offsets
 from .errors import EmptyInput, NonPositiveLeaf
 
 MIN_VOXEL_POINTS = 10  # covariance of fewer points is too unstable to classify
@@ -60,14 +60,16 @@ class VoxelMap:
             self.is_plane = np.zeros(len(self.cells), dtype=bool)
 
     @classmethod
-    def from_points(cls, points: np.ndarray, cells: np.ndarray) -> "VoxelMap":
-        """Voxel statistics of (N, 3) points binned into the given (N, 3) cells.
+    def from_points(cls, points: np.ndarray, voxel_size: float) -> "VoxelMap":
+        """Voxel statistics of (N, 3) points binned into cubic cells of edge
+        voxel_size. Raises CellOutOfRange when a cell does not fit an int64 key.
 
         Moments are summed in input order (np.bincount); the covariance is
         two-pass, centered on each voxel's mean, to avoid cancellation far
-        from the origin.
+        from the origin. A voxel's cell is its sorted key unravelled.
         """
-        inverse, counts, means = cell_means(points, cells)
+        keys, lo, dims = cell_keys(points.T, voxel_size, f"points at cell size {voxel_size}")
+        voxel_keys, inverse, counts, means = cell_means(points, keys)
         n = len(counts)
         centered = points - means[inverse]
         cov_sums = np.empty((n, 3, 3))
@@ -88,7 +90,7 @@ class VoxelMap:
         order = np.argsort(inverse, kind="stable")
         offsets = _offsets(counts)
         return cls(
-            cells=cells[order[offsets[:-1]]],
+            cells=np.stack(np.unravel_index(voxel_keys, dims), axis=1) + lo,
             counts=counts,
             means=means,
             covariances=covs,
@@ -194,7 +196,7 @@ def build_voxel_map(cloud, voxel_size: float) -> VoxelMap:
     pts = np.asarray(cloud, dtype=np.float64)
     if len(pts) == 0:
         raise EmptyInput("cannot voxelize an empty cloud")
-    return VoxelMap.from_points(pts, floor_cells(pts, voxel_size))
+    return VoxelMap.from_points(pts, voxel_size)
 
 
 def is_plane_voxel(eigenvalues, sigma1: float, sigma2: float) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Per-point and per-voxel references for the array front half.
 
 These are the loop-based implementations the array code in
-``triloop.ingest``, ``triloop.planes`` and ``triloop.keypoints`` replaced.
-Tests run both on the same inputs and require bit-identical results. A voxel
+``triloop.ingest``, ``triloop.planes`` and ``triloop.keypoints`` replaced,
+and the (N, 3) integer cell arrays that keys packed from coordinate rows
+replaced. Tests run both on the same inputs and require bit-identical results. A voxel
 map here is a ``dict`` from cell tuple to ``ScalarVoxel``, a plane one
 ``ScalarPlane`` with lists of cell tuples, and a plane image one
 ``ScalarImage``; the references build none of the types they check.
@@ -13,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from triloop.cells import cell_box, int64_cells, pack_offsets
 from triloop.keypoints import NMS_RADIUS
 from triloop.planes import FACE_NEIGHBORS, MIN_VOXEL_POINTS
 
@@ -66,6 +68,19 @@ def canonical_normal(n):
     if n[np.argmax(np.abs(n))] < 0:
         return -n
     return n
+
+
+def floor_cells(points, size):
+    """(N, 3) int64 floor cells of (N, 3) points, range-checked: the cell
+    path ``cells.cell_keys`` replaced."""
+    return int64_cells(np.floor(points / size), f"points at cell size {size}")
+
+
+def pack_cells(cells):
+    """Packed int64 key of each cell of a non-empty (N, 3) cell array, from
+    its cell box."""
+    lo, dims = cell_box(cells)
+    return pack_offsets(cells - lo, dims)
 
 
 def scalar_downsample(cloud, leaf):

@@ -454,6 +454,14 @@ class TestFrameKeys:
         with pytest.raises(ValueError):
             frame_keys(np.array([[1.0, 2.0, np.nan, 0.1, 0.2, 0.3]]), 0.2, 0.1)
 
+    def test_non_finite_signature_named_as_such(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            signatures = np.array([[1.0, 2.0, 3.0, 0.1, 0.2, 0.3]] * 3)
+            signatures[1, 4] = bad
+            with pytest.raises(ValueError, match="descriptor signatures must be finite") as info:
+                frame_keys(signatures, 0.2, 0.1)
+            assert not isinstance(info.value, CellOutOfRange)
+
     def test_cells_beyond_int64_raise(self):
         # a delta of 1e-300 puts a 1 m side in cell 1e300: the cast used to
         # give garbage cells, and unrelated frames shared them and got votes

@@ -205,7 +205,23 @@ class TestAccumulate:
         kf = accumulate_keyframe(scans)
         # oracle: the accumulator must place scan-2 points exactly where
         # apply_transform puts them
-        assert np.allclose(kf.cloud[20:], rel.apply(pts), atol=1e-12)
+        assert np.array_equal(kf.cloud[20:], rel.apply(pts))
+
+    def test_unequal_scans_land_in_their_blocks_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        sizes = (7, 31, 2)
+        scans = [
+            Scan(points=rng.uniform(-5, 5, size=(n, 3)), index=10 + i,
+                 pose=RigidTransform(random_rotation(rng), rng.uniform(-3, 3, 3)))
+            for i, n in enumerate(sizes)
+        ]
+        kf = accumulate_keyframe(scans, keyframe_id=4)
+        assert kf.cloud.shape == (sum(sizes), 3) and kf.scan_range == (10, 12)
+        assert np.array_equal(kf.cloud[:7], scans[0].points)
+        anchor_inv = scans[0].pose.inverse()
+        for scan, lo, hi in zip(scans[1:], (7, 38), (38, 40)):
+            expected = anchor_inv.compose(scan.pose).apply(scan.points)
+            assert np.array_equal(kf.cloud[lo:hi], expected)
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,9 +26,10 @@ def make_plane_scene(center, normal, boundary_points):
 
 
 def one_voxel_map(cell, points):
-    """VoxelMap whose only voxel, at `cell`, holds the given points."""
-    pts = np.asarray(points, dtype=np.float64)
-    return VoxelMap.from_points(pts, np.tile(np.array(cell, dtype=np.int64), (len(pts), 1)))
+    """VoxelMap whose only voxel, at `cell`, holds the given points: at an
+    infinite cell size every finite point lies in one cell, here moved to `cell`."""
+    voxmap = VoxelMap.from_points(np.asarray(points, dtype=np.float64), np.inf)
+    return dataclasses.replace(voxmap, cells=np.array([cell], dtype=np.int64))
 
 
 def project(planes, voxmap):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -403,6 +404,84 @@ class TestBatchedRansacMatchesScalar:
         pairs = degenerate_pairs(rng, 12)
         outcome = self.assert_same(pairs)
         assert outcome[:2] == ("no transform", f"best sample has 0 inlier pairs, need {MIN_INLIER_PAIRS}")
+
+
+def chunk_spanning_candidate(rng, n_pairs=3000):
+    """A planted candidate over distinct key points, stored = truth(query) for
+    about 60% of its pairs: 3 * n_pairs correspondences, enough to span three
+    inlier chunks of 1 << 18 cells at 100 hypotheses."""
+    truth = RigidTransform(random_rotation(rng), rng.uniform(-10, 10, 3))
+    query_points = rng.uniform(-40, 40, size=(3 * n_pairs, 3))
+    stored_points = query_points @ truth.R.T + truth.t
+    outliers = np.repeat(rng.random(n_pairs) < 0.4, 3)  # every vertex of 40% of the pairs
+    stored_points[outliers] = rng.uniform(-40, 40, size=(np.count_nonzero(outliers), 3))
+    ids = np.arange(3 * n_pairs, dtype=np.int32).reshape(n_pairs, 3)
+    frames = [DescriptorFrame(points, np.zeros_like(points), ids, np.zeros((n_pairs, 6)), fid)
+              for fid, points in enumerate((query_points, stored_points))]
+    rows = np.arange(n_pairs)
+    return DescriptorPairs(frames[0], frames[1], rows, rows)
+
+
+class TestInlierChunks:
+    HYPOTHESES = 100  # ransac_transform's default iterations; no sample here is collinear
+
+    def test_ransac_does_not_depend_on_the_chunk_size(self, monkeypatch):
+        import triloop.loop
+
+        pairs = chunk_spanning_candidate(np.random.default_rng(31))
+        for seed in range(3):
+            outcomes = []
+            for chunk in (3 * self.HYPOTHESES, 1 << 15, 1 << 18):
+                calls = []
+
+                def recorded(src, dst, links, R, t, tol):
+                    calls.append((len(src), len(R)))
+                    return _count_inliers(src, dst, links, R, t, tol)
+
+                monkeypatch.setattr(triloop.loop, "INLIER_CHUNK", chunk)
+                monkeypatch.setattr(triloop.loop, "_count_inliers", recorded)
+                rng = np.random.default_rng(seed)
+                got, inliers = ransac_transform(pairs, rng=rng)
+                [(n_corr, n_hyp)] = calls
+                assert n_hyp == self.HYPOTHESES
+                assert n_corr >= 3 * (chunk // n_hyp)  # at least three chunks
+                outcomes.append((got.R.tobytes(), got.t.tobytes(), inliers.query_rows.tolist(),
+                                 inliers.stored_rows.tolist(), rng.bit_generator.state))
+            assert len(outcomes[0][2]) >= 1000
+            assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+
+    @staticmethod
+    def count_peak(src, dst, links, R, t):
+        """Traced peak bytes of one _count_inliers call above what was held before."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _count_inliers(src, dst, links, R, t, 0.5)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_count_temporaries_are_bounded_by_the_chunk(self, monkeypatch):
+        import triloop.loop
+
+        pairs = chunk_spanning_candidate(np.random.default_rng(32))
+        query, stored = pairs.query_frame, pairs.stored_frame
+        src, dst, links = _correspondences(query.positions, stored.positions,
+                                           query.vertex_ids, stored.vertex_ids)
+        picks = np.random.default_rng(33).integers(len(pairs), size=self.HYPOTHESES)
+        R, t = solve_rigid_svd_batch(src[links[picks]], dst[links[picks]])
+        # held for the whole call: 17 float64 terms and one decision byte per
+        # hypothesis for every correspondence
+        whole_call = len(src) * (17 * 8 + len(R))
+        small = 64 * 1024  # the (hypothesis, term) table and scalars
+        shipped = self.count_peak(src, dst, links, R, t)
+        # a block's temporaries fit in half of a 2 MiB L2 cache
+        assert shipped - whole_call < 1 << 20, shipped - whole_call
+        for chunk in (3 * len(R), 1 << 15, 1 << 18):
+            monkeypatch.setattr(triloop.loop, "INLIER_CHUNK", chunk)
+            peak = self.count_peak(src, dst, links, R, t)
+            # a float64 miss and a few decision bytes per chunk cell
+            assert peak <= whole_call + 24 * chunk + small, (chunk, peak - whole_call)
 
 
 class TestPlaneOverlap:
